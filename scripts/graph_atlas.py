@@ -8,8 +8,9 @@ Usage:
     python3 scripts/graph_atlas.py [--min 2] [--max 5] [--ideals]
                                    [--cache-dir DIR] [--threads T]
 
-n=6 takes a few minutes on one core; use --cache-dir to pay the build
-cost once.
+Diameters run one BFS per conjugacy class, since every family here is
+closed under conjugation; --threads applies to the clique search only.
+Building the n=6 graph dominates; use --cache-dir to pay that cost once.
 """
 
 import argparse
@@ -35,7 +36,7 @@ def main() -> int:
     for n in range(args.min, args.max + 1):
         g = ctx.full_graph(n)
         size, _ = gm.clique_number(g, threads=args.threads)
-        res = gm.diameter(g, threads=args.threads)
+        res = gm.diameter(g)
         diam = (f"{res.value}" if res.value != gm.INFINITY
                 else f"disc({len(res.components)})")
         print(f"{n:>3} {g.num_vertices:>9} {g.num_edges():>10} {size:>7}"
@@ -43,7 +44,7 @@ def main() -> int:
         if args.ideals:
             for r in range(1, n):
                 sub = ctx.ideal_graph(n, r)
-                rres = gm.diameter(sub, threads=args.threads)
+                rres = gm.diameter(sub)
                 rd = (f"{rres.value}" if rres.value != gm.INFINITY
                       else f"disc({len(rres.components)})")
                 print(f"      rank<={r}: {sub.num_vertices} vertices,"

@@ -20,7 +20,6 @@ __all__ = [
     "iter_matrix_chunks",
     "elements_matrix",
     "adjacency_packed",
-    "commuting_mask",
     "pack_bool_rows",
 ]
 
@@ -137,13 +136,3 @@ def adjacency_packed(m: np.ndarray, block: int = 256) -> np.ndarray:
         out[s:e] = pack_bool_rows(eq, big_n)
     return out
 
-
-def commuting_mask(m: np.ndarray, a_img: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows commuting with one element (sentinel-n image)."""
-    big_n, n = m.shape
-    aug = np.concatenate([m, np.full((big_n, 1), n, np.int8)], axis=1)
-    a = np.asarray(a_img, dtype=np.int64)
-    a_aug = np.concatenate([a, [n]]).astype(np.int8)
-    ab = aug[:, a]
-    ba = a_aug[m]
-    return (ab == ba).all(axis=1)

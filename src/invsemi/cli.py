@@ -353,8 +353,7 @@ def _suite_ideal_diameters(s: SuiteReport, p: dict, ctx: CliContext):
             expected = 2
         s.check(f"diameter of the rank<={r} ideal graph on {n} points",
                 "diameter-thresholds", REFERENCE, expected,
-                lambda r=r: graphmod.diameter(ctx.ideal_graph(n, r),
-                                              threads=ctx.threads).value)
+                lambda r=r: graphmod.diameter(ctx.ideal_graph(n, r)).value)
 
 
 def _suite_full_diameter(s: SuiteReport, p: dict, ctx: CliContext):
@@ -366,8 +365,7 @@ def _suite_full_diameter(s: SuiteReport, p: dict, ctx: CliContext):
     s.check(f"diameter of the full commuting graph at n={n}",
             "even-diameter" if n % 2 == 0 else "prime-disconnect", REFERENCE,
             expected,
-            lambda: graphmod.diameter(ctx.full_graph(n),
-                                      threads=ctx.threads).value)
+            lambda: graphmod.diameter(ctx.full_graph(n)).value)
     if n % 2 == 1:
         g = ctx.full_graph(n)
         cyc = pinj.PInj.cycle(n, range(n))
@@ -724,7 +722,7 @@ def cmd_graph(args, ctx) -> int:
         info["degree_min"] = int(degs.min())
         info["degree_max"] = int(degs.max())
     if args.diameter:
-        res = graphmod.diameter(g, threads=ctx.threads)
+        res = graphmod.diameter(g)
         info["diameter"] = res.value
         if res.pair is not None and res.value != graphmod.INFINITY:
             a, b = (pinj.element_from_id(n, e) for e in res.pair)
@@ -862,7 +860,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="restrict to the ideal of rank at most R")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker processes for the clique search")
     common.add_argument("--budget-seconds", type=float, default=None)
     common.add_argument("--cache-dir", default=None,
                         help="directory for packed graph caches")

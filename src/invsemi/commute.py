@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .pinj import PInj, UNDEF, compose, decompose
 
@@ -28,8 +27,6 @@ __all__ = [
     "commutes_naive",
     "commutes_structural",
     "CommuteChecker",
-    "SplitPartition",
-    "split_partition",
     "centralizer",
     "centralizer_of_permutation",
     "iter_permutation_centralizer",
@@ -147,41 +144,6 @@ def commutes_structural(a: PInj, b: PInj) -> bool:
     if a.n != b.n:
         raise ValueError("ground sizes differ")
     return CommuteChecker(a).commutes(b)
-
-
-# -- split partitions ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SplitPartition:
-    """A two-block partition {A, B} of the ground set attached to an element
-    whose centralizer acts blockwise: restriction to A (and to B) is
-    multiplicative on commuting pairs."""
-
-    A: frozenset
-    B: frozenset
-
-
-def split_partition(g: PInj) -> SplitPartition:
-    """Blocks for a non-extreme idempotent, or for a permutation with at
-    least two distinct cycle lengths (block A holds the cycles whose length
-    matches the cycle through point 0).
-    """
-    if g.is_zero() or g.is_identity():
-        raise ValueError("zero and identity have no split partition")
-    full = set(range(g.n))
-    if g.is_idempotent():
-        a = frozenset(g.dom())
-        return SplitPartition(a, frozenset(full - a))
-    if g.is_permutation():
-        d = decompose(g)
-        lengths = {len(c) for c in d.cycles}
-        if len(lengths) < 2:
-            raise ValueError("uniform cycle lengths admit no canonical split")
-        k = next(len(c) for c in d.cycles if 0 in c)
-        a = frozenset(x for c in d.cycles if len(c) == k for x in c)
-        return SplitPartition(a, frozenset(full - a))
-    raise ValueError("split partition needs an idempotent or a permutation")
 
 
 # -- centralizers -------------------------------------------------------------

@@ -36,7 +36,6 @@ from .commute import commutes_naive
 __all__ = [
     "SemigroupSet",
     "SemigroupFlags",
-    "NilpotentAnalysis",
     "ExtremalReport",
     "enumerate_elements",
     "count_elements",
@@ -47,7 +46,6 @@ __all__ = [
     "idempotent_semilattice",
     "closure",
     "classify_semigroup",
-    "nilpotent_analysis",
     "max_commutative_nilpotent",
 ]
 
@@ -331,38 +329,6 @@ def closure(seed, n=None, max_size: int = 1_000_000) -> SemigroupSet:
                             raise RuntimeError("closure exceeded max_size")
         frontier = fresh
     return SemigroupSet.from_elements(n, have)
-
-
-# -- structure of commutative nilpotent sets ----------------------------------
-
-
-@dataclass(frozen=True)
-class NilpotentAnalysis:
-    """Interaction sets of a nilpotent family: C collects points that are
-    simultaneously in some domain and some image; per c, A_c holds the
-    preimages of c and B_c its images across the family.  A_c and B_c are
-    disjoint for commuting nilpotent families, which is asserted."""
-
-    c_points: frozenset
-    a_sets: dict
-    b_sets: dict
-
-
-def nilpotent_analysis(s: SemigroupSet) -> NilpotentAnalysis:
-    doms = set()
-    imas = set()
-    for e in s:
-        doms.update(e.dom())
-        imas.update(e.ima())
-    cpts = doms & imas
-    a_sets = {}
-    b_sets = {}
-    for c in sorted(cpts):
-        a_sets[c] = frozenset(x for e in s for x in e.dom() if e(x) == c)
-        b_sets[c] = frozenset(e(c) for e in s if e(c) != UNDEF)
-        if a_sets[c] & b_sets[c]:
-            raise AssertionError(f"preimage and image sets of {c} intersect")
-    return NilpotentAnalysis(frozenset(cpts), a_sets, b_sets)
 
 
 # -- extremal commutative nilpotent subsemigroups ------------------------------

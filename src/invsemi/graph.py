@@ -321,49 +321,72 @@ def distance(g: CommutingGraph, a, b) -> DistanceResult:
     return DistanceResult(len(verts) - 1, pair, path)
 
 
-_PAR_STATE = {}
+def _cycle_chain_types(imgs: np.ndarray, n: int) -> np.ndarray:
+    """Conjugacy type of each row: the number of L-cycles, then the number
+    of chains with L points, for L = 1..n.  Fixed points are 1-cycles and
+    points outside domain and image are 1-point chains."""
+    big_n = imgs.shape[0]
+    aug = np.concatenate([imgs, np.full((big_n, 1), n, np.int8)], axis=1)
+    points = np.arange(n)
+    v = imgs.astype(np.int64)
+    cycle_len = np.zeros((big_n, n), np.int64)
+    steps = np.zeros((big_n, n), np.int64)
+    for k in range(1, n + 1):
+        cycle_len[(v == points) & (cycle_len == 0)] = k
+        steps += v != n
+        v = np.take_along_axis(aug, v, axis=1).astype(np.int64)
+    in_image = np.zeros((big_n, n + 1), dtype=bool)
+    np.put_along_axis(in_image, imgs.astype(np.int64), True, axis=1)
+    chain_len = np.where(in_image[:, :n], 0, steps + 1)
+    lengths = np.arange(1, n + 1)
+    cycles = (cycle_len[:, :, None] == lengths).sum(axis=1) // lengths
+    chains = (chain_len[:, :, None] == lengths).sum(axis=1)
+    return np.concatenate([cycles, chains], axis=1)
 
 
-def _ecc_block(args):
-    lo, hi = args
-    rows, nverts = _PAR_STATE["rows"], _PAR_STATE["nverts"]
-    out = []
-    for s in range(lo, hi):
-        levels, seen = _bfs(rows, nverts, s)
-        far = int(_bit_indices(levels[-1], nverts)[0])
-        out.append((len(levels) - 1, seen.bit_count(), far))
-    return out
+def _class_size(n: int, key) -> int:
+    """Number of elements of I(n) with the cycle-chain type ``key``."""
+    denom = 1
+    for length, (c, h) in enumerate(zip(key[:n], key[n:]), 1):
+        denom *= length ** c * math.factorial(c) * math.factorial(h)
+    return math.factorial(n) // denom
 
 
-def _fork_pool(threads):
-    try:
-        return multiprocessing.get_context("fork").Pool(threads)
-    except (ValueError, OSError):
-        return None
+def _bfs_sources(g: CommutingGraph):
+    """BFS sources and, per vertex, the position of the source standing in
+    for it.
+
+    Conjugation by a permutation of the ground set preserves commutation,
+    so when the vertex set is closed under it, it is a graph automorphism
+    and BFS results are constant on each cycle-chain type; the lowest-index
+    member of each type then serves the whole type.  The set is closed
+    exactly when every type present has all its elements as vertices.
+    Otherwise every vertex is its own source.
+    """
+    keys, first, inverse, counts = np.unique(
+        _cycle_chain_types(g.imgs, g.n), axis=0, return_index=True,
+        return_inverse=True, return_counts=True)
+    if all(c == _class_size(g.n, k)
+           for k, c in zip(keys.tolist(), counts.tolist())):
+        return first, inverse.reshape(-1)
+    every = np.arange(g.num_vertices)
+    return every, every
 
 
-def eccentricities(g: CommutingGraph, threads: int = 1):
-    """Per-vertex (eccentricity over reached set, reached count, farthest
-    lowest-index vertex), as three arrays."""
+def eccentricities(g: CommutingGraph):
+    """Per-vertex (eccentricity over reached set, reached count), as two
+    arrays; one BFS per conjugacy class on conjugation-closed vertex sets,
+    one per vertex otherwise."""
     nverts = g.num_vertices
     rows = g.rows()
-    _PAR_STATE["rows"], _PAR_STATE["nverts"] = rows, nverts
-    chunk = max(32, nverts // (max(1, threads) * 8) + 1)
-    blocks = [(s, min(nverts, s + chunk)) for s in range(0, nverts, chunk)]
-    if threads > 1 and nverts > 256:
-        pool = _fork_pool(threads)
-        if pool is not None:
-            with pool:
-                results = pool.map(_ecc_block, blocks)
-        else:
-            results = [_ecc_block(b) for b in blocks]
-    else:
-        results = [_ecc_block(b) for b in blocks]
-    flat = [t for block in results for t in block]
-    ecc = np.array([t[0] for t in flat], dtype=np.int64)
-    reached = np.array([t[1] for t in flat], dtype=np.int64)
-    far = np.array([t[2] for t in flat], dtype=np.int64)
-    return ecc, reached, far
+    sources, inverse = _bfs_sources(g)
+    ecc = np.empty(len(sources), dtype=np.int64)
+    reached = np.empty(len(sources), dtype=np.int64)
+    for k, s in enumerate(sources):
+        levels, seen = _bfs(rows, nverts, int(s))
+        ecc[k] = len(levels) - 1
+        reached[k] = seen.bit_count()
+    return ecc[inverse], reached[inverse]
 
 
 def components(g: CommutingGraph):
@@ -381,11 +404,13 @@ def components(g: CommutingGraph):
     return comps
 
 
-def diameter(g: CommutingGraph, threads: int = 1) -> DistanceResult:
+def diameter(g: CommutingGraph) -> DistanceResult:
     """Exact diameter with an attaining geodesic.
 
-    Disconnected graphs report INFINITY and the component list, never the
-    largest component's diameter.
+    The pair starts at the lowest-index vertex of largest eccentricity and
+    ends at the lowest-index vertex farthest from it.  Disconnected graphs
+    report INFINITY and the component list, never the largest component's
+    diameter.
     """
     nverts = g.num_vertices
     if nverts == 0:
@@ -394,16 +419,14 @@ def diameter(g: CommutingGraph, threads: int = 1) -> DistanceResult:
     _, seen0 = _bfs(rows, nverts, 0)
     if seen0.bit_count() < nverts:
         return DistanceResult(INFINITY, None, None, tuple(components(g)))
-    ecc, reached, far = eccentricities(g, threads=threads)
-    if int(reached.min()) < nverts:
-        return DistanceResult(INFINITY, None, None, tuple(components(g)))
+    ecc, _ = eccentricities(g)
     src = int(np.argmax(ecc))
-    value = int(ecc[src])
-    dst = int(far[src])
-    levels, _ = _bfs(rows, nverts, src, until_bit=dst)
+    levels, _ = _bfs(rows, nverts, src)
+    dst = int(_bit_indices(levels[-1], nverts)[0])
     verts = _backtrack(rows, levels, dst)
     path = PathWitness(tuple(g.vertex_element(v) for v in verts))
-    return DistanceResult(value, (int(g.ids[src]), int(g.ids[dst])), path)
+    return DistanceResult(int(ecc[src]), (int(g.ids[src]), int(g.ids[dst])),
+                          path)
 
 
 # -- exact maximum clique -------------------------------------------------------
@@ -570,6 +593,13 @@ def _run_roots(rows, nverts, roots, mode, target, bound, deadline):
         except _OutOfTime:
             return run.best, run.found, tuple(roots[pos:])
     return run.best, run.found, ()
+
+
+def _fork_pool(threads):
+    try:
+        return multiprocessing.get_context("fork").Pool(threads)
+    except (ValueError, OSError):
+        return None
 
 
 _CLIQUE_PAR = {}
@@ -763,10 +793,10 @@ def load_packed(path, verify_checksum: bool = True) -> CommutingGraph:
         blob = fh.read()
     if blob[:4] != _FORMAT_MAGIC:
         raise ValueError("not a packed commuting-graph file")
-    if blob[4] != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {blob[4]}")
     if len(blob) < 32 + 19:
         raise ValueError(f"truncated packed graph file {path}")
+    if blob[4] != _FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {blob[4]}")
     payload, digest = blob[:-32], blob[-32:]
     if verify_checksum:
         if hashlib.sha256(payload).digest() != digest:

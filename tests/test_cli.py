@@ -236,6 +236,14 @@ def test_graph_cache_round_trip(capsys, tmp_path):
     assert json.loads(out1) == json.loads(out2)
 
 
+def test_graph_truncated_cache_is_usage_error(capsys, tmp_path):
+    (tmp_path / "icgr-full-n4.bin").write_bytes(b"ICGR")
+    code, _, err = run_main(capsys, ["graph", "--n", "4", "--diameter",
+                                     "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert "error:" in err and "truncated" in err
+
+
 def test_extremal_command(capsys):
     code, out, _ = run_main(capsys, ["extremal", "--n", "4", "--json",
                                      "--list"])

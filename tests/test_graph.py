@@ -7,7 +7,8 @@ import pytest
 from invsemi import graph as gm
 from invsemi._bulk import (adjacency_packed, elements_matrix,
                            iter_matrix_chunks, pack_bool_rows)
-from invsemi.pinj import PInj, element_from_id, element_id, monoid_order
+from invsemi.pinj import (PInj, decompose, element_from_id, element_id,
+                          monoid_order)
 
 from helpers import (brute_adjacency, brute_components, brute_distance,
                      brute_eccentricity, brute_max_cliques)
@@ -138,11 +139,86 @@ def test_distance_path_edges_are_real(full_graphs):
 def test_eccentricities_match_oracle(full_graphs):
     g = full_graphs(4)
     adj = brute_adjacency(graph_elements(g))
-    ecc, reached, far = gm.eccentricities(g)
+    ecc, reached = gm.eccentricities(g)
     for i in range(g.num_vertices):
         want_ecc, want_reached = brute_eccentricity(adj, i)
         assert int(ecc[i]) == want_ecc
         assert int(reached[i]) == want_reached
+
+
+def all_source_bfs(g):
+    """Oracle: one BFS per vertex, as (eccentricity, reached count,
+    farthest lowest-index vertex) arrays."""
+    rows, nverts = g.rows(), g.num_vertices
+    out = np.zeros((3, nverts), dtype=np.int64)
+    for s in range(nverts):
+        levels, seen = gm._bfs(rows, nverts, s)
+        far = int(gm._bit_indices(levels[-1], nverts)[0])
+        out[:, s] = len(levels) - 1, seen.bit_count(), far
+    return out
+
+
+def conjugacy_types(g):
+    """Number of distinct cycle-chain types among the vertices, by way of
+    ``decompose`` rather than the graph module's vectorized key."""
+    types = set()
+    for e in graph_elements(g):
+        d = decompose(e)
+        types.add((tuple(sorted(len(c) for c in d.cycles)),
+                   tuple(sorted(len(c) for c in d.chains))))
+    return len(types)
+
+
+def check_against_all_source(g, closed):
+    """Eccentricities and the diameter's value, pair and geodesic equal the
+    all-source route; conjugation-closed graphs use one BFS source per
+    type, the others one per vertex."""
+    want_ecc, want_reached, far = all_source_bfs(g)
+    ecc, reached = gm.eccentricities(g)
+    assert (ecc == want_ecc).all() and (reached == want_reached).all()
+    sources, _ = gm._bfs_sources(g)
+    assert len(sources) == (conjugacy_types(g) if closed else g.num_vertices)
+    if not g.num_vertices:
+        return
+    res = gm.diameter(g)
+    nverts = g.num_vertices
+    if int(want_reached.min()) < nverts:
+        assert res.value == gm.INFINITY and res.pair is None
+        assert res.path is None
+        return
+    src = int(np.argmax(want_ecc))
+    dst = int(far[src])
+    rows = g.rows()
+    levels, _ = gm._bfs(rows, nverts, src, until_bit=dst)
+    assert res.value == int(want_ecc[src])
+    assert res.pair == (int(g.ids[src]), int(g.ids[dst]))
+    assert [g.index_of(v) for v in res.path.vertices] \
+        == gm._backtrack(rows, levels, dst)
+
+
+def test_eccentricity_reduction_on_families():
+    centers = {"all": "monoid", "nilpotent": "ideal",
+               "idempotent": "monoid", "permutation": "group"}
+    for n in range(1, 6):
+        for filt, center in centers.items():
+            check_against_all_source(gm.build_graph(n, filt, center=center),
+                                     closed=True)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_eccentricity_reduction_on_ideals(n, ideal_graphs):
+    for r in range(1, n):
+        check_against_all_source(ideal_graphs(n, r), closed=True)
+
+
+def test_eccentricity_reduction_off_when_not_closed(ideal_graphs):
+    sub = ideal_graphs(5, 2)
+    check_against_all_source(
+        gm.induced_subgraph(sub, np.arange(1, sub.num_vertices)),
+        closed=False)
+    swap = PInj.cycle(4, (0, 1))
+    g = gm.build_graph(4, center=(PInj.zero(4), PInj.identity(4), swap))
+    check_against_all_source(g, closed=False)
 
 
 def test_components_match_oracle(full_graphs):
@@ -275,6 +351,10 @@ def test_load_detects_corruption(full_graphs, tmp_path):
     junk.write_bytes(b"NOPE" + bytes(60))
     with pytest.raises(ValueError):
         gm.load_packed(junk)
+    magic_only = tmp_path / "magic.bin"
+    magic_only.write_bytes(b"ICGR")
+    with pytest.raises(ValueError):
+        gm.load_packed(magic_only)
 
 
 def test_exports(full_graphs, tmp_path):
