@@ -26,14 +26,13 @@ def main() -> int:
     ap.add_argument("--list", action="store_true",
                     help="print every witness semigroup")
     ap.add_argument("--budget-seconds", type=float, default=None)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     print(f"{'n':>3} {'max order':>10} {'count':>6} {'balanced-null':>14}"
           f" {'time':>8}")
     for n in range(args.min, args.max + 1):
         rep = construct.max_commutative_nilpotent(
-            n, budget_seconds=args.budget_seconds, threads=args.threads)
+            n, budget_seconds=args.budget_seconds)
         balanced = {frozenset(s.ids)
                     for s in construct.balanced_null_semigroups(n)}
         hits = sum(frozenset(w.ids) in balanced for w in rep.witnesses)

@@ -6,10 +6,10 @@ component count when disconnected), and per-ideal diameters on request.
 
 Usage:
     python3 scripts/graph_atlas.py [--min 2] [--max 5] [--ideals]
-                                   [--cache-dir DIR] [--threads T]
+                                   [--cache-dir DIR]
 
 Diameters run one BFS per conjugacy class, since every family here is
-closed under conjugation; --threads applies to the clique search only.
+closed under conjugation.
 Building the n=6 graph dominates; use --cache-dir to pay that cost once.
 """
 
@@ -27,15 +27,14 @@ def main() -> int:
     ap.add_argument("--ideals", action="store_true",
                     help="also print the diameter of every proper ideal")
     ap.add_argument("--cache-dir", default=None)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
-    ctx = CliContext(threads=args.threads, cache_dir=args.cache_dir)
+    ctx = CliContext(cache_dir=args.cache_dir)
     print(f"{'n':>3} {'vertices':>9} {'edges':>10} {'clique':>7}"
           f" {'diameter':>9}")
     for n in range(args.min, args.max + 1):
         g = ctx.full_graph(n)
-        size, _ = gm.clique_number(g, threads=args.threads)
+        size, _ = gm.clique_number(g)
         res = gm.diameter(g)
         diam = (f"{res.value}" if res.value != gm.INFINITY
                 else f"disc({len(res.components)})")

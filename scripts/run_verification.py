@@ -3,7 +3,7 @@
 
 Usage:
     python3 scripts/run_verification.py [--out report.json] [--suite NAME]
-                                        [--threads T] [--cache-dir DIR]
+                                        [--cache-dir DIR]
 
 Exit code 0 when every check passes, 1 otherwise.
 """
@@ -21,12 +21,11 @@ def main() -> int:
     ap.add_argument("--out", default=None,
                     help="write the JSON report here (default: stdout only)")
     ap.add_argument("--suite", default="all", choices=SUITE_ORDER + ("all",))
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--cache-dir", default=None,
                     help="reuse packed graph caches between runs")
     args = ap.parse_args()
 
-    ctx = CliContext(threads=args.threads, cache_dir=args.cache_dir)
+    ctx = CliContext(cache_dir=args.cache_dir)
     names = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
     reports = []
     t0 = time.perf_counter()

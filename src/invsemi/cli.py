@@ -3,7 +3,7 @@
 Every ``verify`` suite runs named checks whose expected values are either
 reference table entries, values derived in-process by an independent
 route, or trivial consequences of definitions; the report records which.
-Reports are deterministic across runs and thread counts (times aside).
+Reports are deterministic across runs (times aside).
 """
 
 from __future__ import annotations
@@ -122,7 +122,6 @@ class SuiteReport:
 class CliContext:
     """Run-wide knobs plus a per-process graph store (memory + disk)."""
 
-    threads: int = 1
     budget_seconds: float | None = None
     cache_dir: str | None = None
     force: bool = False
@@ -138,7 +137,11 @@ class CliContext:
         g = None
         path = self._cache_path(f"icgr-full-n{n}.bin")
         if path is not None and path.exists() and not self.force:
-            g = graphmod.load_packed(path)
+            try:
+                g = graphmod.load_packed(path)
+            except ValueError as e:
+                raise UsageError(f"bad graph cache {path}: {e}; delete it or"
+                                 " rerun with --force to rebuild it") from None
         if g is None:
             if n > GUARD_FULL_GRAPH and not self.force:
                 raise UsageError(
@@ -255,8 +258,7 @@ def _suite_extremal(s: SuiteReport, p: dict, ctx: CliContext):
 
     def search():
         box["rep"] = construct.max_commutative_nilpotent(
-            n, budget_seconds=ctx.budget_seconds, threads=ctx.threads,
-            force=ctx.force)
+            n, budget_seconds=ctx.budget_seconds, force=ctx.force)
         return box["rep"].max_order
 
     s.check(f"maximum commutative nilpotent order at n={n}", "order-table",
@@ -307,7 +309,7 @@ def _suite_clique(s: SuiteReport, p: dict, ctx: CliContext):
 
     def search():
         box["best"] = graphmod.clique_number(
-            g, budget_seconds=ctx.budget_seconds, threads=ctx.threads)
+            g, budget_seconds=ctx.budget_seconds)
         return box["best"][0]
 
     s.check(f"clique number of the full commuting graph at n={n}",
@@ -322,8 +324,7 @@ def _suite_clique(s: SuiteReport, p: dict, ctx: CliContext):
 
     def closed_max_cliques():
         cliques = graphmod.maximum_cliques(
-            g, target=box["best"][0], budget_seconds=ctx.budget_seconds,
-            threads=ctx.threads)
+            g, target=box["best"][0], budget_seconds=ctx.budget_seconds)
         zero, ident = pinj.PInj.zero(n), pinj.PInj.identity(n)
         out = []
         for c in cliques:
@@ -731,8 +732,7 @@ def cmd_graph(args, ctx) -> int:
         if res.components is not None:
             info["components"] = len(res.components)
     if args.clique:
-        size, wit = graphmod.clique_number(g, budget_seconds=ctx.budget_seconds,
-                                           threads=ctx.threads)
+        size, wit = graphmod.clique_number(g, budget_seconds=ctx.budget_seconds)
         info["clique_number"] = size
         info["clique"] = [pinj.format_element(g.vertex_element(i))
                           for i in wit]
@@ -756,8 +756,7 @@ def cmd_graph(args, ctx) -> int:
 def cmd_extremal(args, ctx) -> int:
     n = _require_n(args)
     rep = construct.max_commutative_nilpotent(
-        n, budget_seconds=ctx.budget_seconds, threads=ctx.threads,
-        force=ctx.force)
+        n, budget_seconds=ctx.budget_seconds, force=ctx.force)
     out = {"n": n, "max_order": rep.max_order, "count": rep.count,
            "elapsed_s": round(rep.elapsed_s, 3)}
     if args.list:
@@ -860,8 +859,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="restrict to the ideal of rank at most R")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the clique search")
     common.add_argument("--budget-seconds", type=float, default=None)
     common.add_argument("--cache-dir", default=None,
                         help="directory for packed graph caches")
@@ -933,8 +930,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    ctx = CliContext(threads=args.threads,
-                     budget_seconds=args.budget_seconds,
+    ctx = CliContext(budget_seconds=args.budget_seconds,
                      cache_dir=args.cache_dir, force=args.force)
     try:
         return args.func(args, ctx)

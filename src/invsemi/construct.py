@@ -343,7 +343,7 @@ class ExtremalReport:
     elapsed_s: float = field(compare=False, default=0.0)
 
 
-def max_commutative_nilpotent(n: int, budget_seconds=None, threads: int = 1,
+def max_commutative_nilpotent(n: int, budget_seconds=None,
                               force: bool = False) -> ExtremalReport:
     """Search the commuting graph on nonzero nilpotents for all maximum
     cliques, then close each under product (the closure must not grow).
@@ -362,8 +362,7 @@ def max_commutative_nilpotent(n: int, budget_seconds=None, threads: int = 1,
     keep = ids != 0  # drop the zero map; it is central everywhere here
     g = _graph.graph_from_matrix(n, ids[keep], mat[keep], center_ids=(0,),
                                  label=f"nilpotent-n{n}")
-    size, _ = _graph.clique_number(g, budget_seconds=budget_seconds,
-                                   threads=threads)
+    size, _ = _graph.clique_number(g, budget_seconds=budget_seconds)
     cliques = _graph.maximum_cliques(g, target=size, vertex_cap=50_000,
                                      budget_seconds=budget_seconds)
     zero = PInj.zero(n)

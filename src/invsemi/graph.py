@@ -9,14 +9,13 @@ k-core peeling in numpy to shrink hard instances first.
 
 Everything here is deterministic: vertex order is ID order, path
 reconstruction always picks the lowest-index predecessor, and clique
-results come out sorted, independent of thread count.
+results come out sorted.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -63,7 +62,17 @@ class BudgetExceeded(RuntimeError):
     """A time budget ran out; ``checkpoint`` resumes where work stopped."""
 
     def __init__(self, checkpoint):
-        super().__init__("time budget exceeded")
+        msg = "time budget exceeded"
+        if checkpoint is not None:
+            total = len(checkpoint.order)
+            done = total - len(checkpoint.roots_remaining)
+            msg += f" after {done}/{total} root branches; "
+            if checkpoint.phase == "max":
+                msg += f"best clique so far has {len(checkpoint.best)} vertices"
+            else:
+                msg += (f"{len(checkpoint.found)} cliques of size"
+                        f" {checkpoint.target} found so far")
+        super().__init__(msg)
         self.checkpoint = checkpoint
 
 
@@ -436,11 +445,10 @@ def _alive_words(alive: np.ndarray) -> np.ndarray:
     return pack_bool_rows(alive[None, :], len(alive))[0]
 
 
-def _core_mask(packed: np.ndarray, min_deg: int, start=None) -> np.ndarray:
+def _core_mask(packed: np.ndarray, min_deg: int) -> np.ndarray:
     """Iterated peel: keep vertices with at least ``min_deg`` surviving
     neighbors.  Contains every clique on more than ``min_deg`` vertices."""
-    nverts = packed.shape[0]
-    alive = np.ones(nverts, dtype=bool) if start is None else start.copy()
+    alive = np.ones(packed.shape[0], dtype=bool)
     while True:
         aw = _alive_words(alive)
         idx = np.flatnonzero(alive)
@@ -475,7 +483,7 @@ def _greedy_best(rows, degs, starts=48, within=None):
     return best
 
 
-def _color_sort(p_mask: int, rows, nverts: int):
+def _color_sort(p_mask: int, rows):
     """Greedy coloring of candidates; returns vertices and color numbers in
     ascending color order (the color is an upper bound for the clique
     inside that prefix)."""
@@ -499,60 +507,45 @@ def _color_sort(p_mask: int, rows, nverts: int):
 class _CliqueRun:
     """Shared state of one branch-and-bound pass over a relabeled graph.
 
-    ``best_size`` is the incumbent bound; ``best`` holds a witness only
-    when this pass itself improved on the initial bound (the caller's seed
-    clique may live outside the peeled subgraph).
+    A branch is pruned once its coloring bound cannot beat ``floor``.  In
+    max mode (``target`` None) ``floor`` is the incumbent size and rises
+    at each better leaf; ``best`` holds a witness only when this pass
+    itself improved on the initial floor (the caller's seed clique may
+    live outside the peeled subgraph).  In enum mode ``floor`` is
+    ``target - 1`` and ``found`` collects every leaf above it.
     """
 
-    def __init__(self, rows, nverts, deadline=None, target=None,
-                 best_size=0):
+    def __init__(self, rows, floor, target=None):
         self.rows = rows
-        self.nverts = nverts
-        self.deadline = deadline
+        self.floor = floor
         self.target = target
-        self.best_size = best_size
+        self.deadline = None
         self.best = []
         self.found = []
         self.nodes = 0
 
-    def _tick(self):
+    def expand(self, cur, p_mask):
         self.nodes += 1
         if self.deadline is not None and self.nodes % 2048 == 0:
             if time.perf_counter() > self.deadline:
                 raise _OutOfTime()
-
-    def expand_max(self, cur, p_mask):
-        self._tick()
         if not p_mask:
-            if len(cur) > self.best_size:
-                self.best_size = len(cur)
-                self.best = list(cur)
+            if len(cur) > self.floor:
+                if self.target is None:
+                    self.floor = len(cur)
+                    self.best = list(cur)
+                elif len(cur) > self.target:
+                    raise AssertionError("target below true clique number")
+                else:
+                    self.found.append(tuple(cur))
             return
-        order, colors = _color_sort(p_mask, self.rows, self.nverts)
+        order, colors = _color_sort(p_mask, self.rows)
         for j in range(len(order) - 1, -1, -1):
-            if len(cur) + colors[j] <= self.best_size:
+            if len(cur) + colors[j] <= self.floor:
                 return
             v = order[j]
             cur.append(v)
-            self.expand_max(cur, p_mask & self.rows[v])
-            cur.pop()
-            p_mask &= ~(1 << v)
-
-    def expand_enum(self, cur, p_mask):
-        self._tick()
-        if len(cur) > self.target:
-            raise AssertionError("target below true clique number")
-        if not p_mask:
-            if len(cur) == self.target:
-                self.found.append(tuple(cur))
-            return
-        order, colors = _color_sort(p_mask, self.rows, self.nverts)
-        for j in range(len(order) - 1, -1, -1):
-            if len(cur) + colors[j] < self.target:
-                return
-            v = order[j]
-            cur.append(v)
-            self.expand_enum(cur, p_mask & self.rows[v])
+            self.expand(cur, p_mask & self.rows[v])
             cur.pop()
             p_mask &= ~(1 << v)
 
@@ -562,94 +555,71 @@ class _OutOfTime(Exception):
 
 
 def _relabeled_rows(g, alive: np.ndarray):
-    """Restrict to alive vertices, reordered by descending degree."""
+    """Alive vertices as rows reordered by descending degree, and that
+    order as a tuple of original indices."""
     idx = np.flatnonzero(alive)
     if not len(idx):
-        return [], np.empty(0, np.int64)
+        return [], ()
     aw = _alive_words(alive)
     sub_degs = np.bitwise_count(g.packed[idx] & aw[None, :]).sum(axis=1)
     order = idx[np.lexsort((idx, -sub_degs))]
     packed = _extract_packed(g.packed, order, order)
     rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    return rows, tuple(order.tolist())
+
+
+def _resumed_rows(g, resume: CliqueCheckpoint):
+    """Rebuild the relabeled rows a checkpoint was taken over."""
+    alive = np.zeros(g.num_vertices, dtype=bool)
+    alive[np.asarray(resume.order, dtype=np.int64)] = True
+    rows, order = _relabeled_rows(g, alive)
+    if order != resume.order:
+        raise ValueError("checkpoint does not match this graph")
     return rows, order
 
 
-def _run_roots(rows, nverts, roots, mode, target, bound, deadline):
-    """Process root branches in order; returns (best, found, unfinished).
+def _run_roots(rows, roots, floor, target, deadline):
+    """Expand root branches in order; returns the run and the roots left
+    unfinished when the deadline passed.
 
-    ``best`` comes back empty unless this run beat the initial ``bound``.
+    The first root always runs to the end, so every call makes progress
+    however small its budget.  Cliques found in an unfinished root are
+    dropped: resuming expands that root again from the start.
     """
-    run = _CliqueRun(rows, nverts, deadline, target, best_size=bound)
+    run = _CliqueRun(rows, floor, target)
     for pos, i in enumerate(roots):
-        tail_mask = (((1 << nverts) - 1) >> (i + 1)) << (i + 1)
-        cand = rows[i] & tail_mask
+        cand = rows[i] >> (i + 1) << (i + 1)
+        kept = len(run.found)
         try:
-            if mode == "max":
-                if 1 + cand.bit_count() > run.best_size:
-                    run.expand_max([i], cand)
-            else:
-                if 1 + cand.bit_count() >= target:
-                    run.expand_enum([i], cand)
+            if 1 + cand.bit_count() > run.floor:
+                run.expand([i], cand)
         except _OutOfTime:
-            return run.best, run.found, tuple(roots[pos:])
-    return run.best, run.found, ()
+            del run.found[kept:]
+            return run, tuple(roots[pos:])
+        run.deadline = deadline
+    return run, ()
 
 
-def _fork_pool(threads):
-    try:
-        return multiprocessing.get_context("fork").Pool(threads)
-    except (ValueError, OSError):
-        return None
-
-
-_CLIQUE_PAR = {}
-
-
-def _clique_worker(roots):
-    st = _CLIQUE_PAR
-    return _run_roots(st["rows"], st["nverts"], roots, st["mode"],
-                      st["target"], st["bound"], st["deadline"])
-
-
-def _dispatch_roots(rows, nverts, roots, mode, target, bound, deadline,
-                    threads):
-    if threads <= 1 or len(roots) < 4:
-        return [_run_roots(rows, nverts, roots, mode, target, bound,
-                           deadline)]
-    _CLIQUE_PAR.update(rows=rows, nverts=nverts, mode=mode, target=target,
-                       bound=bound, deadline=deadline)
-    pool = _fork_pool(threads)
-    if pool is None:
-        return [_run_roots(rows, nverts, roots, mode, target, bound,
-                           deadline)]
-    shards = [list(roots[w::threads]) for w in range(threads)]
-    with pool:
-        return pool.map(_clique_worker, [s for s in shards if s])
-
-
-def clique_number(g: CommutingGraph, budget_seconds=None, threads: int = 1,
+def clique_number(g: CommutingGraph, budget_seconds=None,
                   resume: CliqueCheckpoint | None = None):
     """Exact clique number and one maximum clique (vertex indices).
 
     Runs greedy seeding, peels to the seed-size core, then proves
     optimality by branch and bound.  A budget overrun raises
     BudgetExceeded carrying a checkpoint; pass it back as ``resume``.
+    Each call finishes at least one root branch, so it can overrun its
+    budget by at most one branch and a resumed run always completes.
     """
-    nverts = g.num_vertices
-    if nverts == 0:
+    if not g.num_vertices:
         return 0, ()
     deadline = (time.perf_counter() + budget_seconds
                 if budget_seconds is not None else None)
     if resume is not None:
         if resume.phase != "max":
             raise ValueError("checkpoint is not from a clique_number run")
-        alive = np.zeros(nverts, dtype=bool)
-        alive[np.asarray(resume.order, dtype=np.int64)] = True
-        rows, order = _relabeled_rows(g, alive)
-        if tuple(int(v) for v in order) != resume.order:
-            raise ValueError("checkpoint does not match this graph")
-        base_best = sorted(resume.best)
-        roots = list(resume.roots_remaining)
+        rows, order = _resumed_rows(g, resume)
+        best = sorted(resume.best)
+        roots = resume.roots_remaining
     else:
         full_rows = g.rows()
         degs = g.degrees()
@@ -664,32 +634,27 @@ def clique_number(g: CommutingGraph, budget_seconds=None, threads: int = 1,
             else:
                 break
         rows, order = _relabeled_rows(g, alive)
-        base_best = sorted(int(v) for v in seed)
-        roots = list(range(len(rows)))
-    results = _dispatch_roots(rows, len(rows), roots, "max", None,
-                              len(base_best), deadline, threads)
-    unfinished = [u for *_, u in results for u in u]
-    improvements = [sorted(int(order[i]) for i in r[0])
-                    for r in results if r[0]]
-    if improvements:
-        best_global = min(improvements, key=lambda c: (-len(c), c))
-    else:
-        best_global = base_best
+        best = sorted(int(v) for v in seed)
+        roots = range(len(rows))
+    run, unfinished = _run_roots(rows, roots, len(best), None, deadline)
+    if run.best:
+        best = sorted(order[i] for i in run.best)
     if unfinished:
         raise BudgetExceeded(CliqueCheckpoint(
-            "max", tuple(int(v) for v in order), tuple(sorted(unfinished)),
-            tuple(best_global), None, ()))
-    return len(best_global), tuple(best_global)
+            "max", order, unfinished, tuple(best), None, ()))
+    return len(best), tuple(best)
 
 
 def maximum_cliques(g: CommutingGraph, target: int, vertex_cap: int = 2500,
-                    budget_seconds=None, threads: int = 1,
+                    budget_seconds=None,
                     resume: CliqueCheckpoint | None = None):
     """All cliques of size ``target`` (which must be the clique number),
     as sorted tuples of vertex indices, sorted lexicographically.
 
     ``vertex_cap`` guards against accidental huge inputs; raise it
-    deliberately for larger graphs.
+    deliberately for larger graphs.  Budgets and checkpoints work as in
+    ``clique_number``: each call finishes at least one root branch, so it
+    can overrun its budget by at most one branch.
     """
     nverts = g.num_vertices
     if nverts > vertex_cap:
@@ -698,31 +663,23 @@ def maximum_cliques(g: CommutingGraph, target: int, vertex_cap: int = 2500,
         raise ValueError("target must be at least 1")
     deadline = (time.perf_counter() + budget_seconds
                 if budget_seconds is not None else None)
-    prior = []
     if resume is not None:
         if resume.phase != "enum" or resume.target != target:
             raise ValueError("checkpoint does not match this enumeration")
-        alive = np.zeros(nverts, dtype=bool)
-        alive[np.asarray(resume.order, dtype=np.int64)] = True
-        rows, order = _relabeled_rows(g, alive)
-        if tuple(int(v) for v in order) != resume.order:
-            raise ValueError("checkpoint does not match this graph")
-        roots = list(resume.roots_remaining)
-        prior = [tuple(c) for c in resume.found]
+        rows, order = _resumed_rows(g, resume)
+        roots = resume.roots_remaining
+        found = list(resume.found)
     else:
         alive = _core_mask(g.packed, min_deg=target - 1)
         rows, order = _relabeled_rows(g, alive)
-        roots = list(range(len(rows)))
-    results = _dispatch_roots(rows, len(rows), roots, "enum", target, 0,
-                              deadline, threads)
-    found = prior + [tuple(sorted(int(order[i]) for i in clique))
-                     for r in results for clique in r[1]]
-    unfinished = [u for *_, u in results for u in u]
+        roots = range(len(rows))
+        found = []
+    run, unfinished = _run_roots(rows, roots, target - 1, target, deadline)
+    found += [tuple(sorted(order[i] for i in clique)) for clique in run.found]
+    found.sort()
     if unfinished:
         raise BudgetExceeded(CliqueCheckpoint(
-            "enum", tuple(int(v) for v in order), tuple(sorted(unfinished)),
-            (), target, tuple(sorted(found))))
-    found.sort()
+            "enum", order, unfinished, (), target, tuple(found)))
     for clique in found:
         for x in range(len(clique)):
             for y in range(x + 1, len(clique)):
@@ -818,7 +775,6 @@ def load_packed(path, verify_checksum: bool = True) -> CommutingGraph:
     label = payload[off:off + nlabel].decode("utf-8")
     off += nlabel
     ids = np.frombuffer(payload, dtype="<u8", count=nverts, offset=off)
-    ids = ids.astype(np.int64)
     off += nverts * 8
     words = (nverts + 63) // 64
     expect = off + nverts * words * 8
@@ -827,8 +783,8 @@ def load_packed(path, verify_checksum: bool = True) -> CommutingGraph:
     packed = np.frombuffer(payload, dtype="<u8", count=nverts * words,
                            offset=off).reshape(nverts, words)
     packed = packed.astype(np.uint64)
-    imgs = np.full((nverts, n), n, dtype=np.int8)
-    for i, eid in enumerate(ids):
-        e = element_from_id(n, int(eid))
-        imgs[i] = [n if v == UNDEF else v for v in e.img]
+    # IDs index the matrix up to the top ID's rank.  Still unsigned here,
+    # the top ID bounds them all; element_from_id rejects it if too big.
+    top = element_from_id(n, int(ids.max()) if nverts else 0)
+    imgs = elements_matrix(n, max_rank=top.rank)[1][ids.astype(np.int64)]
     return CommutingGraph(n, ids, imgs, packed, center_ids, label)

@@ -95,17 +95,21 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert "budget exceeded" in err
 
 
+def test_budget_progress_reaches_cli(capsys, monkeypatch):
+    def trip(report, params, ctx):
+        raise gm.BudgetExceeded(gm.CliqueCheckpoint(
+            "max", (4, 2, 7), (7,), (2, 4), None, ()))
+
+    monkeypatch.setitem(cli._SUITES, "lambda", trip)
+    code, _, err = run_main(capsys, ["verify", "lambda"])
+    assert code == 3
+    assert err.strip() == ("budget exceeded: time budget exceeded after 2/3"
+                           " root branches; best clique so far has 2 vertices")
+
+
 def test_verify_determinism(capsys):
     _, out1, _ = run_main(capsys, ["verify", "properties", "--json"])
     _, out2, _ = run_main(capsys, ["verify", "properties", "--json"])
-    assert strip_ms(json.loads(out1)) == strip_ms(json.loads(out2))
-
-
-def test_threads_do_not_change_results(capsys):
-    _, out1, _ = run_main(capsys,
-                          ["verify", "clique", "--n", "3", "--json"])
-    _, out2, _ = run_main(capsys, ["verify", "clique", "--n", "3",
-                                   "--threads", "2", "--json"])
     assert strip_ms(json.loads(out1)) == strip_ms(json.loads(out2))
 
 
@@ -242,6 +246,24 @@ def test_graph_truncated_cache_is_usage_error(capsys, tmp_path):
                                      "--cache-dir", str(tmp_path)])
     assert code == 2
     assert "error:" in err and "truncated" in err
+
+
+def test_graph_corrupt_cache_names_file_and_force(capsys, tmp_path):
+    argv = ["graph", "--n", "4", "--json", "--cache-dir", str(tmp_path)]
+    code, want, _ = run_main(capsys, argv)
+    assert code == 0
+    cached = tmp_path / "icgr-full-n4.bin"
+    blob = bytearray(cached.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    cached.write_bytes(bytes(blob))
+    code, _, err = run_main(capsys, argv)
+    assert code == 2
+    assert "error:" in err and "checksum" in err
+    assert str(cached) in err and "--force" in err
+    code, out, _ = run_main(capsys, argv + ["--force"])
+    assert code == 0 and json.loads(out) == json.loads(want)
+    code, out, _ = run_main(capsys, argv)
+    assert code == 0 and json.loads(out) == json.loads(want)
 
 
 def test_extremal_command(capsys):

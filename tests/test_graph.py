@@ -288,6 +288,8 @@ def test_maximum_cliques_match_brute(full_graphs):
     assert {frozenset(c) for c in got} == want_cliques
     with pytest.raises(ValueError):
         gm.maximum_cliques(g, target=0)
+    with pytest.raises(AssertionError, match="target below true clique"):
+        gm.maximum_cliques(g, target=want_size - 1)
 
 
 def test_maximum_cliques_vertex_cap(full_graphs):
@@ -319,6 +321,54 @@ def test_budget_trips_and_resume_completes():
         assert g.adjacent(a, b)
 
 
+def resume_to_end(call, max_trips):
+    """Call ``call(checkpoint)`` until it returns, passing back each budget
+    overrun's checkpoint; fail after ``max_trips`` overruns."""
+    ckpt = None
+    for _ in range(max_trips + 1):
+        try:
+            return call(ckpt)
+        except gm.BudgetExceeded as exc:
+            ckpt = exc.checkpoint
+    raise AssertionError(f"no result after {max_trips} budget overruns")
+
+
+def test_zero_budget_resume_makes_progress():
+    # Both phases have a root branch here that outlasts any zero budget.
+    g = synthetic_graph(160, 0.65, seed=42)
+    size, wit = gm.clique_number(g)
+    cliques = gm.maximum_cliques(g, target=size)
+    max_trips = g.num_vertices + 1
+    assert resume_to_end(lambda ckpt: gm.clique_number(
+        g, budget_seconds=0, resume=ckpt), max_trips) == (size, wit)
+    assert resume_to_end(lambda ckpt: gm.maximum_cliques(
+        g, target=size, budget_seconds=0, resume=ckpt), max_trips) == cliques
+
+
+def test_budget_message_reports_progress():
+    assert str(gm.BudgetExceeded(None)) == "time budget exceeded"
+    g = synthetic_graph(120, 0.6, seed=11)
+    size, _ = gm.clique_number(g)
+    with pytest.raises(gm.BudgetExceeded) as exc:
+        gm.clique_number(g, budget_seconds=0)
+    ckpt = exc.value.checkpoint
+    total = len(ckpt.order)
+    done = total - len(ckpt.roots_remaining)
+    assert 1 <= done < total
+    assert str(exc.value) == (
+        f"time budget exceeded after {done}/{total} root branches;"
+        f" best clique so far has {len(ckpt.best)} vertices")
+    with pytest.raises(gm.BudgetExceeded) as exc:
+        gm.maximum_cliques(g, target=size, budget_seconds=0)
+    ckpt = exc.value.checkpoint
+    total = len(ckpt.order)
+    done = total - len(ckpt.roots_remaining)
+    assert 1 <= done < total and ckpt.found
+    assert str(exc.value) == (
+        f"time budget exceeded after {done}/{total} root branches;"
+        f" {len(ckpt.found)} cliques of size {ckpt.target} found so far")
+
+
 # -- persistence and exports -------------------------------------------------------
 
 
@@ -328,6 +378,7 @@ def test_save_load_round_trip(full_graphs, tmp_path):
     gm.save_packed(g, path)
     h = gm.load_packed(path)
     assert (h.packed == g.packed).all() and (h.ids == g.ids).all()
+    assert h.imgs.dtype == g.imgs.dtype and (h.imgs == g.imgs).all()
     assert h.label == g.label and h.center_ids == g.center_ids
     assert h.n == g.n
     assert gm.diameter(h).value == 4
@@ -355,6 +406,15 @@ def test_load_detects_corruption(full_graphs, tmp_path):
     magic_only.write_bytes(b"ICGR")
     with pytest.raises(ValueError):
         gm.load_packed(magic_only)
+    # Checksummed files whose top vertex ID is past the end of I(3); -1 is
+    # stored as 2**64 - 1, which must not wrap round to a valid index.
+    for top in (monoid_order(3), -1):
+        ids = g.ids.copy()
+        ids[-1] = top
+        far = tmp_path / "far.bin"
+        gm.save_packed(gm.CommutingGraph(3, ids, g.imgs, g.packed), far)
+        with pytest.raises(ValueError, match="out of range"):
+            gm.load_packed(far)
 
 
 def test_exports(full_graphs, tmp_path):
