@@ -5,12 +5,19 @@ ground size n itself as the out-of-domain sentinel (rows index an augmented
 table whose last column is the sentinel, so composition is one gather).
 Little-endian bit packing is assumed when uint8 buffers are viewed as
 uint64 words; this matches every platform the package targets.
+
+The adjacency kernel exploits that conjugation by a permutation of the
+ground set preserves commutation.  On a row set closed under conjugation it
+compares only one representative row per cycle-chain type against all rows
+with dense gathers, and builds every other row by conjugating the columns
+of its representative's row; other row sets compare every row densely.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
@@ -20,6 +27,7 @@ __all__ = [
     "iter_matrix_chunks",
     "elements_matrix",
     "adjacency_packed",
+    "conjugacy_classes",
     "pack_bool_rows",
 ]
 
@@ -113,26 +121,153 @@ def pack_bool_rows(rows: np.ndarray, width: int) -> np.ndarray:
     return packed.view(np.uint64).reshape(rows.shape[0], words)
 
 
+def _cycle_chain_types(m: np.ndarray, n: int) -> np.ndarray:
+    """Conjugacy type of each row: the number of L-cycles, then the number
+    of chains with L points, for L = 1..n.  Fixed points are 1-cycles and
+    points outside domain and image are 1-point chains."""
+    big_n = m.shape[0]
+    aug = np.concatenate([m, np.full((big_n, 1), n, np.int8)], axis=1)
+    points = np.arange(n)
+    v = m.astype(np.int64)
+    cycle_len = np.zeros((big_n, n), np.int64)
+    steps = np.zeros((big_n, n), np.int64)
+    for k in range(1, n + 1):
+        cycle_len[(v == points) & (cycle_len == 0)] = k
+        steps += v != n
+        v = np.take_along_axis(aug, v, axis=1).astype(np.int64)
+    in_image = np.zeros((big_n, n + 1), dtype=bool)
+    np.put_along_axis(in_image, m.astype(np.int64), True, axis=1)
+    chain_len = np.where(in_image[:, :n], 0, steps + 1)
+    lengths = np.arange(1, n + 1)
+    cycles = (cycle_len[:, :, None] == lengths).sum(axis=1) // lengths
+    chains = (chain_len[:, :, None] == lengths).sum(axis=1)
+    return np.concatenate([cycles, chains], axis=1)
+
+
+def _class_size(n: int, key) -> int:
+    """Number of elements of I(n) with the cycle-chain type ``key``."""
+    denom = 1
+    for length, (c, h) in enumerate(zip(key[:n], key[n:]), 1):
+        denom *= length ** c * math.factorial(c) * math.factorial(h)
+    return math.factorial(n) // denom
+
+
+def _row_codes(m: np.ndarray) -> np.ndarray:
+    """Base-(n+1) code of each row: equal codes exactly for equal rows."""
+    n = m.shape[1]
+    return m.astype(np.int64) @ (n + 1) ** np.arange(n, dtype=np.int64)
+
+
+def conjugacy_classes(m: np.ndarray):
+    """(representatives, inverse): the lowest-index row of each class and,
+    per row, the position of its class's representative.
+
+    Conjugation by a permutation of the ground set preserves commutation,
+    so on a row set closed under it each cycle-chain type is one orbit of
+    graph automorphisms.  The set is closed exactly when its rows are
+    distinct and every type present has all its elements as rows.
+    Otherwise every row is its own representative.
+    """
+    big_n, n = m.shape
+    keys, first, inverse, counts = np.unique(
+        _cycle_chain_types(m, n), axis=0, return_index=True,
+        return_inverse=True, return_counts=True)
+    if (len(np.unique(_row_codes(m))) == big_n
+            and all(c == _class_size(n, k)
+                    for k, c in zip(keys.tolist(), counts.tolist()))):
+        return first, inverse.reshape(-1)
+    every = np.arange(big_n)
+    return every, every
+
+
+def _commuting_rows(m: np.ndarray, aug: np.ndarray,
+                    rows: np.ndarray) -> np.ndarray:
+    """Boolean adjacency of the given rows against every row, diagonal
+    clear: both composite tables come from single gathers through the
+    augmented matrix, and equal composites mean commuting."""
+    # ab[b, j, x] = m_b(a_j(x)); ba[j, b, x] = a_j(m_b(x))
+    ab = aug[:, m[rows]]
+    ba = aug[rows][:, m]
+    eq = (ab.transpose(1, 0, 2) == ba).all(axis=2)
+    eq[np.arange(len(rows)), rows] = False
+    return eq
+
+
+def _conjugation_index(m: np.ndarray, sorted_codes: np.ndarray,
+                       order: np.ndarray, tau) -> np.ndarray:
+    """Row index of tau·u·tau⁻¹ for every row u of a closed set:
+    (tau·u·tau⁻¹)(tau(x)) = tau(u(x))."""
+    n = m.shape[1]
+    tau_aug = np.array(list(tau) + [n], dtype=np.int8)
+    conj = np.empty_like(m)
+    conj[:, list(tau)] = tau_aug[m]
+    return order[np.searchsorted(sorted_codes, _row_codes(conj))]
+
+
+def _conjugate_rows(m: np.ndarray, out: np.ndarray, reps: np.ndarray,
+                    inverse: np.ndarray) -> None:
+    """Fill every non-representative row of ``out`` from its class
+    representative's row.
+
+    Each permutation s of the ground set induces an automorphism
+    p_s(u) = index of s·u·s⁻¹, so row p_s⁻¹(r) is row r with its columns
+    permuted by p_s.  Walk S_n breadth-first from the identity through the
+    transposition (0 1) and the n-cycle, getting p_{g∘s} = p_g[p_s] by one
+    gather, and stop once every row is filled.  The diagonal stays clear:
+    the representative's own bit lands on the row's own column.
+    """
+    big_n, n = m.shape
+    filled = np.zeros(big_n, dtype=bool)
+    filled[reps] = True
+    if filled.all():
+        return
+    rep_of = reps[inverse]
+    rep_bits = np.unpackbits(out[reps].view(np.uint8), axis=1, count=big_n,
+                             bitorder="little").view(bool)
+    codes = _row_codes(m)
+    order = np.argsort(codes)
+    ident = tuple(range(n))
+    # index arrays as int32 keep the walk's frontier (up to ~570 arrays at
+    # n=7) at half the memory
+    gens = {tau: _conjugation_index(m, codes[order], order,
+                                    tau).astype(np.int32)
+            for tau in ((1, 0) + ident[2:], ident[1:] + (0,))}
+    seen = {ident}
+    frontier = deque([(ident, np.arange(big_n, dtype=np.int32))])
+    while not filled.all():
+        perm, p = frontier.popleft()
+        for tau, g in gens.items():
+            nxt = tuple(tau[x] for x in perm)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            q = g[p]
+            # at most one new row per class: p_s⁻¹(r) is one row
+            new = np.flatnonzero((q == rep_of) & ~filled)
+            if len(new):
+                filled[new] = True
+                bits = np.take(rep_bits[inverse[new]], q.astype(np.intp),
+                               axis=1)
+                out[new] = pack_bool_rows(bits, big_n)
+            frontier.append((nxt, q))
+
+
 def adjacency_packed(m: np.ndarray, block: int = 256) -> np.ndarray:
     """Commutation adjacency of all row pairs, bit-packed, diagonal clear.
 
-    For a block of left factors A against the whole matrix M, both
-    composite tables come from single gathers through the augmented
-    matrices; equality rows then give one adjacency stripe.
+    Only one representative row per conjugacy class is compared densely
+    against the whole matrix; every other row is its representative's row
+    with the columns conjugated (see ``_conjugate_rows``).  A row set not
+    closed under conjugation has every row as its own representative, so
+    then every row is compared densely.
     """
     big_n, n = m.shape
     aug = np.concatenate([m, np.full((big_n, 1), n, np.int8)], axis=1)
     words = (big_n + 63) // 64
     out = np.empty((big_n, words), dtype=np.uint64)
-    for s in range(0, big_n, block):
-        e = min(big_n, s + block)
-        a = m[s:e]
-        a_aug = aug[s:e]
-        # ab[b, j, x] = m_b(a_j(x)); ba[j, b, x] = a_j(m_b(x))
-        ab = aug[:, a]
-        ba = a_aug[:, m]
-        eq = (ab.transpose(1, 0, 2) == ba).all(axis=2)
-        eq[np.arange(e - s), np.arange(s, e)] = False
-        out[s:e] = pack_bool_rows(eq, big_n)
+    reps, inverse = conjugacy_classes(m)
+    for s in range(0, len(reps), block):
+        rows = reps[s:s + block]
+        out[rows] = pack_bool_rows(_commuting_rows(m, aug, rows), big_n)
+    _conjugate_rows(m, out, reps, inverse)
     return out
-

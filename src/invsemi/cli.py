@@ -156,19 +156,22 @@ class CliContext:
         return g
 
     def ideal_graph(self, n: int, r: int) -> graphmod.CommutingGraph:
-        """Commuting graph of the elements of rank at most r (zero already
-        excluded; the identity falls out of the rank mask)."""
+        """Commuting graph of the nonzero elements of rank at most r, built
+        from those elements alone."""
         if not 1 <= r <= n - 1:
             raise UsageError("need 1 <= r <= n-1 for an ideal graph")
         key = ("ideal", n, r)
         if key in self._graphs:
             return self._graphs[key]
-        full = self.full_graph(n)
-        ranks = (full.imgs != full.n).sum(axis=1)
-        sub = graphmod.induced_subgraph(full, ranks <= r,
-                                        label=f"rank{r}-ideal-n{n}")
-        self._graphs[key] = sub
-        return sub
+        if n > GUARD_FULL_GRAPH and not self.force:
+            raise UsageError(
+                f"ideal graph materialization is guarded to"
+                f" n <= {GUARD_FULL_GRAPH}; --force lifts the guard")
+        cap = (1 << 40) if self.force else graphmod.VERTEX_CAP
+        g = graphmod.build_graph(n, max_rank=r, center="ideal",
+                                 label=f"rank{r}-ideal-n{n}", vertex_cap=cap)
+        self._graphs[key] = g
+        return g
 
 
 # -- small independent oracles ---------------------------------------------------

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bulk import adjacency_packed, elements_matrix, pack_bool_rows
+from ._bulk import (adjacency_packed, conjugacy_classes, elements_matrix,
+                    pack_bool_rows)
 from .commute import commutes_naive
 from .pinj import PInj, UNDEF, element_from_id, element_id, format_element
 
@@ -330,65 +331,18 @@ def distance(g: CommutingGraph, a, b) -> DistanceResult:
     return DistanceResult(len(verts) - 1, pair, path)
 
 
-def _cycle_chain_types(imgs: np.ndarray, n: int) -> np.ndarray:
-    """Conjugacy type of each row: the number of L-cycles, then the number
-    of chains with L points, for L = 1..n.  Fixed points are 1-cycles and
-    points outside domain and image are 1-point chains."""
-    big_n = imgs.shape[0]
-    aug = np.concatenate([imgs, np.full((big_n, 1), n, np.int8)], axis=1)
-    points = np.arange(n)
-    v = imgs.astype(np.int64)
-    cycle_len = np.zeros((big_n, n), np.int64)
-    steps = np.zeros((big_n, n), np.int64)
-    for k in range(1, n + 1):
-        cycle_len[(v == points) & (cycle_len == 0)] = k
-        steps += v != n
-        v = np.take_along_axis(aug, v, axis=1).astype(np.int64)
-    in_image = np.zeros((big_n, n + 1), dtype=bool)
-    np.put_along_axis(in_image, imgs.astype(np.int64), True, axis=1)
-    chain_len = np.where(in_image[:, :n], 0, steps + 1)
-    lengths = np.arange(1, n + 1)
-    cycles = (cycle_len[:, :, None] == lengths).sum(axis=1) // lengths
-    chains = (chain_len[:, :, None] == lengths).sum(axis=1)
-    return np.concatenate([cycles, chains], axis=1)
-
-
-def _class_size(n: int, key) -> int:
-    """Number of elements of I(n) with the cycle-chain type ``key``."""
-    denom = 1
-    for length, (c, h) in enumerate(zip(key[:n], key[n:]), 1):
-        denom *= length ** c * math.factorial(c) * math.factorial(h)
-    return math.factorial(n) // denom
-
-
-def _bfs_sources(g: CommutingGraph):
-    """BFS sources and, per vertex, the position of the source standing in
-    for it.
-
-    Conjugation by a permutation of the ground set preserves commutation,
-    so when the vertex set is closed under it, it is a graph automorphism
-    and BFS results are constant on each cycle-chain type; the lowest-index
-    member of each type then serves the whole type.  The set is closed
-    exactly when every type present has all its elements as vertices.
-    Otherwise every vertex is its own source.
-    """
-    keys, first, inverse, counts = np.unique(
-        _cycle_chain_types(g.imgs, g.n), axis=0, return_index=True,
-        return_inverse=True, return_counts=True)
-    if all(c == _class_size(g.n, k)
-           for k, c in zip(keys.tolist(), counts.tolist())):
-        return first, inverse.reshape(-1)
-    every = np.arange(g.num_vertices)
-    return every, every
-
-
 def eccentricities(g: CommutingGraph):
     """Per-vertex (eccentricity over reached set, reached count), as two
-    arrays; one BFS per conjugacy class on conjugation-closed vertex sets,
-    one per vertex otherwise."""
+    arrays.
+
+    On a vertex set closed under conjugation, conjugation is a graph
+    automorphism, so BFS results are constant on each cycle-chain type and
+    one BFS from its lowest-index member serves the whole type; otherwise
+    every vertex is its own source (see ``_bulk.conjugacy_classes``).
+    """
     nverts = g.num_vertices
     rows = g.rows()
-    sources, inverse = _bfs_sources(g)
+    sources, inverse = conjugacy_classes(g.imgs)
     ecc = np.empty(len(sources), dtype=np.int64)
     reached = np.empty(len(sources), dtype=np.int64)
     for k, s in enumerate(sources):

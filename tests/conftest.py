@@ -5,8 +5,8 @@ from invsemi import graph as gm
 
 @pytest.fixture(scope="session")
 def full_graphs():
-    """Shared full commuting graphs; n=6 takes ~20s to build, so build it
-    at most once per test session."""
+    """Shared full commuting graphs, built at most once per test session
+    (n=6 has 13,325 vertices and takes about a second)."""
     cache = {}
 
     def get(n: int) -> gm.CommutingGraph:

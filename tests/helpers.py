@@ -7,6 +7,8 @@ sets, which is the point.
 
 from collections import deque
 
+import numpy as np
+
 from invsemi.pinj import PInj, UNDEF
 
 
@@ -35,6 +37,29 @@ def brute_adjacency(elements):
                 adj[i].add(j)
                 adj[j].add(i)
     return adj
+
+
+def dense_adjacency_packed(mat, rows=None, block=256):
+    """Packed commutation adjacency of ``rows`` (default: all rows) of a
+    sentinel-n image matrix against every row, diagonal clear, by comparing
+    every pair with dense gathers.  Bit j of word w is column 64w+j, as in
+    the package's packed rows, and padding bits are zero."""
+    mat = np.asarray(mat, dtype=np.int8)
+    big_n, n = mat.shape
+    rows = np.arange(big_n) if rows is None else np.asarray(rows)
+    aug = np.concatenate([mat, np.full((big_n, 1), n, np.int8)], axis=1)
+    words = (big_n + 63) // 64
+    out = np.zeros((len(rows), words * 64), dtype=bool)
+    for s in range(0, len(rows), block):
+        blk = rows[s:s + block]
+        # ab[b, j, x] = m_b(a_j(x)); ba[j, b, x] = a_j(m_b(x))
+        ab = aug[:, mat[blk]]
+        ba = aug[blk][:, mat]
+        eq = (ab.transpose(1, 0, 2) == ba).all(axis=2)
+        eq[np.arange(len(blk)), blk] = False
+        out[s:s + len(blk), :big_n] = eq
+    packed = np.packbits(out, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64).reshape(len(rows), words)
 
 
 def brute_distance(adj, s, t):

@@ -229,6 +229,22 @@ def test_graph_ideal(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_ideal_graph_equals_induced_subgraph():
+    ctx = cli.CliContext()
+    for n in (4, 5):
+        full = ctx.full_graph(n)
+        ranks = (full.imgs != full.n).sum(axis=1)
+        for r in range(1, n):
+            g = ctx.ideal_graph(n, r)
+            sub = gm.induced_subgraph(full, ranks <= r)
+            assert g.label == f"rank{r}-ideal-n{n}"
+            assert g.ids.tobytes() == sub.ids.tobytes()
+            assert g.packed.tobytes() == sub.packed.tobytes()
+            assert ctx.ideal_graph(n, r) is g
+    with pytest.raises(cli.UsageError, match="--force"):
+        cli.CliContext().ideal_graph(7, 3)
+
+
 def test_graph_cache_round_trip(capsys, tmp_path):
     argv = ["graph", "--n", "4", "--json", "--cache-dir", str(tmp_path)]
     code, out1, _ = run_main(capsys, argv)

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from invsemi import _bulk
 from invsemi import graph as gm
-from invsemi._bulk import (adjacency_packed, elements_matrix,
-                           iter_matrix_chunks, pack_bool_rows)
-from invsemi.pinj import (PInj, decompose, element_from_id, element_id,
-                          monoid_order)
+from invsemi._bulk import (adjacency_packed, conjugacy_classes,
+                           elements_matrix, iter_matrix_chunks,
+                           pack_bool_rows)
+from invsemi.pinj import (PInj, UNDEF, decompose, element_from_id,
+                          element_id, monoid_order)
 
 from helpers import (brute_adjacency, brute_components, brute_distance,
-                     brute_eccentricity, brute_max_cliques)
+                     brute_eccentricity, brute_max_cliques,
+                     dense_adjacency_packed)
 
 
 def graph_elements(g):
@@ -59,6 +62,103 @@ def test_adjacency_packed_matches_oracle():
             row = int.from_bytes(packed[i].astype("<u8").tobytes(), "little")
             bits = {j for j in range(len(els)) if (row >> j) & 1}
             assert bits == adj[i]
+
+
+def row_types(n, mat):
+    """Number of distinct cycle-chain types among the rows of an image
+    matrix, by way of ``decompose`` rather than the package's vectorized
+    key."""
+    types = set()
+    for row in mat:
+        d = decompose(PInj(n, tuple(UNDEF if v == n else int(v)
+                                    for v in row)))
+        types.add((tuple(sorted(len(c) for c in d.cycles)),
+                   tuple(sorted(len(c) for c in d.chains))))
+    return len(types)
+
+
+def run_kernel(mat, monkeypatch):
+    """``adjacency_packed(mat)`` and the number of rows it compared
+    densely against the whole matrix."""
+    dense = []
+    inner = _bulk._commuting_rows
+
+    def counting(m, aug, rows):
+        dense.append(len(rows))
+        return inner(m, aug, rows)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_bulk, "_commuting_rows", counting)
+        packed = adjacency_packed(mat)
+    return packed, sum(dense)
+
+
+def check_kernel(n, mat, closed, monkeypatch, sample=None):
+    """The kernel equals the all-pairs dense oracle bit for bit (on the
+    ``sample`` rows if given), and compares one row per cycle-chain type
+    densely on closed sets, every row otherwise."""
+    packed, dense = run_kernel(mat, monkeypatch)
+    assert packed.dtype == np.uint64
+    assert packed.shape == (len(mat), (len(mat) + 63) // 64)
+    want = dense_adjacency_packed(mat, sample)
+    got = packed if sample is None else packed[sample]
+    assert got.tobytes() == want.tobytes()
+    assert dense == (row_types(n, mat) if closed else len(mat))
+    return packed
+
+
+FILTERS = ("all", "nilpotent", "idempotent", "permutation")
+CENTERS = ("monoid", "ideal", "group", "none")
+
+
+def test_adjacency_kernel_on_families(monkeypatch):
+    for n in range(2, 6):
+        for filt in FILTERS:
+            for center in CENTERS:
+                g = gm.build_graph(n, filt, center=center)
+                packed = check_kernel(n, g.imgs, True, monkeypatch)
+                assert packed.tobytes() == g.packed.tobytes()
+
+
+def test_adjacency_kernel_full_n6(full_graphs, monkeypatch):
+    g = full_graphs(6)
+    packed = check_kernel(6, g.imgs, True, monkeypatch)
+    assert packed.tobytes() == g.packed.tobytes()
+
+
+def test_adjacency_kernel_nilpotent_n7(monkeypatch):
+    ids, mat = elements_matrix(7, "nilpotent")
+    mat = mat[ids != 0]
+    reps, _ = conjugacy_classes(mat)
+    rng = np.random.default_rng(7)
+    sample = np.union1d(reps, rng.choice(len(mat), 512, replace=False))
+    packed = check_kernel(7, mat, True, monkeypatch, sample)
+    assert int(np.bitwise_count(packed).sum()) // 2 == 1_387_470
+
+
+def test_adjacency_kernel_falls_back_when_not_closed(monkeypatch):
+    swap = PInj.cycle(4, (0, 1))
+    g = gm.build_graph(4, center=(PInj.zero(4), PInj.identity(4), swap))
+    check_kernel(4, g.imgs, False, monkeypatch)
+    ideal = gm.build_graph(5, max_rank=2, center="ideal")
+    check_kernel(5, ideal.imgs[1:], False, monkeypatch)
+
+
+def test_adjacency_kernel_edge_cases(monkeypatch):
+    packed = check_kernel(4, np.empty((0, 4), np.int8), True, monkeypatch)
+    assert packed.shape == (0, 0)
+    for n in (0, 1):
+        check_kernel(n, elements_matrix(n)[1], True, monkeypatch)
+    # zero and identity: every row is alone in its class
+    singletons = np.array([[4, 4, 4, 4], [0, 1, 2, 3]], np.int8)
+    check_kernel(4, singletons, True, monkeypatch)
+    # duplicate rows can fill a class's count without covering it
+    _, mat = elements_matrix(3)
+    dup = mat.copy()
+    dup[element_id(PInj.cycle(3, (0, 2)))] = \
+        dup[element_id(PInj.cycle(3, (0, 1)))]
+    check_kernel(3, dup, False, monkeypatch)
+    check_kernel(3, np.vstack([mat, mat]), False, monkeypatch)
 
 
 # -- graph construction ------------------------------------------------------------
@@ -158,17 +258,6 @@ def all_source_bfs(g):
     return out
 
 
-def conjugacy_types(g):
-    """Number of distinct cycle-chain types among the vertices, by way of
-    ``decompose`` rather than the graph module's vectorized key."""
-    types = set()
-    for e in graph_elements(g):
-        d = decompose(e)
-        types.add((tuple(sorted(len(c) for c in d.cycles)),
-                   tuple(sorted(len(c) for c in d.chains))))
-    return len(types)
-
-
 def check_against_all_source(g, closed):
     """Eccentricities and the diameter's value, pair and geodesic equal the
     all-source route; conjugation-closed graphs use one BFS source per
@@ -176,8 +265,9 @@ def check_against_all_source(g, closed):
     want_ecc, want_reached, far = all_source_bfs(g)
     ecc, reached = gm.eccentricities(g)
     assert (ecc == want_ecc).all() and (reached == want_reached).all()
-    sources, _ = gm._bfs_sources(g)
-    assert len(sources) == (conjugacy_types(g) if closed else g.num_vertices)
+    sources, _ = conjugacy_classes(g.imgs)
+    assert len(sources) == (row_types(g.n, g.imgs) if closed
+                            else g.num_vertices)
     if not g.num_vertices:
         return
     res = gm.diameter(g)
