@@ -21,17 +21,19 @@ from collections import deque
 
 import numpy as np
 
-from .pinj import stratum_sizes
+from .pinj import PInj, UNDEF, stratum_sizes
 
 __all__ = [
     "iter_matrix_chunks",
     "elements_matrix",
+    "row_element",
     "adjacency_packed",
     "conjugacy_classes",
     "pack_bool_rows",
 ]
 
 _MAX_MATRIX_GROUND = 12
+_FILTERS = ("all", "idempotent", "permutation", "nilpotent")
 
 
 def _nilpotent_mask(m: np.ndarray, n: int) -> np.ndarray:
@@ -52,16 +54,26 @@ def _filter_mask(m: np.ndarray, n: int, filt: str) -> np.ndarray:
     if filt == "idempotent":
         rng = np.arange(n, dtype=np.int8)
         return ((m == rng) | (m == n)).all(axis=1)
-    if filt == "permutation":
-        return (m != n).all(axis=1)
-    raise ValueError(f"unknown filter {filt!r}")
+    return (m != n).all(axis=1)  # permutation
 
 
 def iter_matrix_chunks(n: int, filt: str = "all", max_rank=None,
                        chunk_rows: int = 1 << 20):
-    """Yield (ids, matrix) blocks in ascending ID order."""
+    """Iterator of (ids, matrix) blocks in ascending ID order: rank, then
+    domain, then image subsets in lexicographic order, then bijections.
+
+    ``filt`` is one of all | idempotent | permutation | nilpotent and
+    ``max_rank`` cuts the enumeration to an ideal.  Bad arguments raise
+    ``ValueError`` here, before any row is built.
+    """
     if not 0 <= n <= _MAX_MATRIX_GROUND:
         raise ValueError(f"matrix enumeration supports n <= {_MAX_MATRIX_GROUND}")
+    if filt not in _FILTERS:
+        raise ValueError(f"unknown filter {filt!r}")
+    return _matrix_chunks(n, filt, max_rank, chunk_rows)
+
+
+def _matrix_chunks(n, filt, max_rank, chunk_rows):
     sizes = stratum_sizes(n)
     top = n if max_rank is None else min(max_rank, n)
     eid = 0
@@ -110,6 +122,12 @@ def elements_matrix(n: int, filt: str = "all", max_rank=None):
     if not ids_parts:
         return np.empty(0, np.int64), np.empty((0, n), np.int8)
     return np.concatenate(ids_parts), np.vstack(m_parts)
+
+
+def row_element(n: int, row) -> PInj:
+    """The element whose image table is ``row``, with n marking points
+    outside the domain."""
+    return PInj(n, [UNDEF if v == n else int(v) for v in row])
 
 
 def pack_bool_rows(rows: np.ndarray, width: int) -> np.ndarray:

@@ -862,7 +862,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="restrict to the ideal of rank at most R")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--budget-seconds", type=float, default=None)
+    common.add_argument("--budget-seconds", type=float, default=None,
+                        help="bounds the clique search only, not the graph"
+                             " build; exit 3 on overrun, no checkpoint kept")
     common.add_argument("--cache-dir", default=None,
                         help="directory for packed graph caches")
     common.add_argument("--force", action="store_true",

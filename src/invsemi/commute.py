@@ -6,9 +6,10 @@ normal form of one factor against the other: cycles must map onto
 equal-length cycles with a consistent rotation, chain prefixes must map
 onto chain suffixes ending at the final point (a lone head image merely
 stays outside the domain), and points off the span may only land off the
-span or on a chain's final point.  The structural route
-is the production predicate; both are kept on purpose and are cross-checked
-in the test suite.
+span or on a chain's final point.  The structural route is the coded form
+of the paper's characterization of commuting pairs, which ``CommuteChecker``
+applies to streams sharing one left factor; it is not faster per pair than
+the naive route, and the two are cross-checked in the test suite.
 
 Centralizers of permutations admit direct enumeration without touching the
 ambient monoid: an element commuting with a permutation is determined by a
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .pinj import PInj, UNDEF, compose, decompose
+from .pinj import PInj, UNDEF, decompose
 
 __all__ = [
     "commutes_naive",
@@ -140,7 +141,7 @@ class CommuteChecker:
 
 
 def commutes_structural(a: PInj, b: PInj) -> bool:
-    """Production commutation test via the normal form of ``a``."""
+    """The paper's commutation criterion, via the normal form of ``a``."""
     if a.n != b.n:
         raise ValueError("ground sizes differ")
     return CommuteChecker(a).commutes(b)
@@ -153,8 +154,8 @@ def centralizer(a: PInj, universe=None, max_rank=None):
     """All elements of ``universe`` commuting with ``a``, as a SemigroupSet.
 
     ``universe`` may be an iterable of elements, or None for the whole
-    monoid on a.n points (optionally cut to rank <= max_rank, i.e. an
-    ideal).  The universe is streamed, never materialized.
+    monoid on a.n <= 12 points (optionally cut to rank <= max_rank, i.e.
+    an ideal).  The universe is streamed, never materialized.
     """
     from .construct import SemigroupSet, enumerate_elements
 

@@ -2,8 +2,7 @@
 
 The enumeration is rank-stratified: rank 0 upward, domain subsets in
 lexicographic order, then image subsets, then bijections.  That order is
-exactly ascending element ID, so every generator here is restartable from
-an ID offset and filters such as ``max_rank`` skip whole strata.
+exactly ascending element ID, and ``max_rank`` skips whole strata.
 
 Counting is exact integer arithmetic throughout: the monoid order is
 ``sum C(n,r)^2 r!``; idempotents number ``2^n``; nilpotents are counted by
@@ -19,15 +18,14 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from ._bulk import elements_matrix, iter_matrix_chunks, row_element
 from .pinj import (
     PInj,
     UNDEF,
     compose,
     classify,
     element_id,
-    element_from_id,
     format_element,
-    monoid_order,
     parse,
     stratum_sizes,
 )
@@ -170,64 +168,16 @@ def classify_semigroup(s: SemigroupSet) -> SemigroupFlags:
 # -- enumeration --------------------------------------------------------------
 
 
-def _img_is_nilpotent(img) -> bool:
-    in_ima = set(y for y in img if y != UNDEF)
-    cnt = 0
-    for x in range(len(img)):
-        if img[x] != UNDEF and x not in in_ima:
-            y = x
-            while img[y] != UNDEF:
-                y = img[y]
-                cnt += 1
-    return cnt == len(in_ima)
-
-
-def enumerate_elements(n: int, filt: str = "all", max_rank=None, start_id: int = 0):
-    """Yield elements of I(n) ascending by ID.
+def enumerate_elements(n: int, filt: str = "all", max_rank=None):
+    """Iterator of the elements of I(n) ascending by ID, for n <= 12.
 
     ``filt`` is one of all | idempotent | permutation | nilpotent;
-    ``max_rank`` cuts the enumeration to an ideal.  ``start_id`` resumes
-    mid-stream without re-emitting earlier elements.
+    ``max_rank`` cuts the enumeration to an ideal.  A view of
+    ``iter_matrix_chunks``, so bad arguments raise ``ValueError`` here.
     """
-    if filt not in ("all", "idempotent", "permutation", "nilpotent"):
-        raise ValueError(f"unknown filter {filt!r}")
-    sizes = stratum_sizes(n)
-    eid = 0
-    top = n if max_rank is None else min(max_rank, n)
-    for r in range(top + 1):
-        if eid + sizes[r] <= start_id or (filt == "permutation" and r < n):
-            eid += sizes[r]
-            continue
-        fact = math.factorial(r)
-        cnr = math.comb(n, r)
-        dom_block = cnr * fact
-        if filt == "idempotent":
-            for drank, dom in enumerate(itertools.combinations(range(n), r)):
-                cur = eid + (drank * cnr + drank) * fact
-                if cur < start_id:
-                    continue
-                img = [UNDEF] * n
-                for x in dom:
-                    img[x] = x
-                yield PInj(n, img)
-            eid += sizes[r]
-            continue
-        for dom in itertools.combinations(range(n), r):
-            if eid + dom_block <= start_id:
-                eid += dom_block
-                continue
-            for ima in itertools.combinations(range(n), r):
-                if eid + fact <= start_id:
-                    eid += fact
-                    continue
-                for word in itertools.permutations(ima):
-                    if eid >= start_id:
-                        img = [UNDEF] * n
-                        for x, y in zip(dom, word):
-                            img[x] = y
-                        if filt != "nilpotent" or _img_is_nilpotent(img):
-                            yield PInj(n, img)
-                    eid += 1
+    # small chunks bound the memory that ``tolist`` takes per chunk
+    chunks = iter_matrix_chunks(n, filt, max_rank, chunk_rows=1 << 12)
+    return (row_element(n, row) for _, m in chunks for row in m.tolist())
 
 
 def count_elements(n: int, filt: str = "all", max_rank=None) -> int:
@@ -353,7 +303,6 @@ def max_commutative_nilpotent(n: int, budget_seconds=None,
     search may not finish in reasonable time).
     """
     from . import graph as _graph
-    from ._bulk import elements_matrix
 
     if not 3 <= n <= 7 and not force:
         raise ValueError("supported for 3 <= n <= 7; pass force=True to try anyway")

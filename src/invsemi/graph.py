@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._bulk import (adjacency_packed, conjugacy_classes, elements_matrix,
-                    pack_bool_rows)
+                    pack_bool_rows, row_element)
 from .commute import commutes_naive
-from .pinj import PInj, UNDEF, element_from_id, element_id, format_element
+from .pinj import PInj, element_from_id, element_id, format_element
 
 __all__ = [
     "INFINITY",
@@ -173,8 +173,7 @@ class CommutingGraph:
         return int(self.degrees().sum()) // 2
 
     def vertex_element(self, i: int) -> PInj:
-        row = self.imgs[i]
-        return PInj(self.n, tuple(UNDEF if v == self.n else int(v) for v in row))
+        return row_element(self.n, self.imgs[i])
 
     def index_of(self, x) -> int:
         """Vertex index of an element or element ID."""

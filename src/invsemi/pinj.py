@@ -23,7 +23,6 @@ subset (lexicographic), then image subset, then the bijection between them
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -225,11 +224,12 @@ def power(a: PInj, p: int) -> PInj:
     if p < 1:
         raise ValueError("exponent must be a positive integer")
     img = [UNDEF] * a.n
-    for part in decompose(a).cycles:
+    d = decompose(a)
+    for part in d.cycles:
         k = len(part)
         for i, x in enumerate(part):
             img[x] = part[(i + p) % k]
-    for part in decompose(a).chains:
+    for part in d.chains:
         k = len(part) - 1
         for i in range(k + 1):
             if i + p <= k:

@@ -62,6 +62,12 @@ def _partial_identity(n: int, pts) -> PInj:
     return PInj.from_dict(n, {int(x): int(x) for x in pts})
 
 
+def _commuting_pairs(xs, ys) -> int:
+    """Number of pairs in ``xs`` x ``ys`` that commute, with one checker
+    built per element of ``xs``."""
+    return sum(chk.commutes(y) for chk in map(CommuteChecker, xs) for y in ys)
+
+
 def _smallest_prime_factor(n: int) -> int:
     for p in range(2, int(math.isqrt(n)) + 1):
         if n % p == 0:
@@ -460,14 +466,11 @@ def verify_distance5(n: int, pair=None) -> Distance5Report:
 
     apow = [power(alpha, s) for s in range(1, n)]
     bpow = [power(beta, t) for t in range(1, n)]
-    bad = 0
-    for pa in apow:
-        chk = CommuteChecker(pa)
-        bad += sum(1 for pb in bpow if chk.commutes(pb))
+    bad = _commuting_pairs(apow, bpow)
     checks.append(("no proper power of one commutes with a proper power of"
                    " the other", bad == 0, f"{(n - 1) ** 2} pairs"))
 
-    delta, eta = power(alpha, q), power(beta, q)
+    delta, eta = apow[q - 1], bpow[q - 1]
     classes = overlap_classes(delta, eta)
     checks.append(("the two q-th powers interlock into a single overlap"
                    " class", len(classes) == 1, f"{len(classes)} classes"))
@@ -487,10 +490,10 @@ def verify_distance5(n: int, pair=None) -> Distance5Report:
 
     if n == 9:
         ok = True
-        for s in range(1, 9):
-            for t in range(1, 9):
-                chk = CommuteChecker(power(beta, t))
-                inter = {g for g in iter_permutation_centralizer(power(alpha, s))
+        for pa in apow:
+            for pb in bpow:
+                chk = CommuteChecker(pb)
+                inter = {g for g in iter_permutation_centralizer(pa)
                          if chk.commutes(g)}
                 ok = ok and inter == {zero, ident}
         checks.append(("every power-pair centralizer intersection is"
@@ -615,28 +618,23 @@ def dolzan_distance_check(n: int = 10) -> SymGapReport:
     ident = PInj.identity(n)
     alpha = PInj.cycle(n, range(n))
     beta = join(n, cycles=(tuple(range(n - 1)), (n - 1,)))
+    # powers 1..n of alpha and 1..n-1 of beta; each list ends at the identity
+    apow = [power(alpha, s) for s in range(1, n + 1)]
+    bpow = [power(beta, t) for t in range(1, n)]
     checks = []
     ca = {g for g in iter_permutation_centralizer(alpha) if g.is_permutation()}
     checks.append(("the full cycle's total centralizer is its power group",
-                   ca == {power(alpha, s) for s in range(1, n + 1)},
-                   f"{len(ca)} elements"))
+                   ca == set(apow), f"{len(ca)} elements"))
     cb = {g for g in iter_permutation_centralizer(beta) if g.is_permutation()}
     checks.append(("the point-fixing cycle's total centralizer is its power"
-                   " group",
-                   cb == {power(beta, s) for s in range(1, n)},
-                   f"{len(cb)} elements"))
-    bad = 0
-    for s in range(1, n):
-        chk = CommuteChecker(power(alpha, s))
-        for t in range(1, n - 1):
-            if chk.commutes(power(beta, t)):
-                bad += 1
+                   " group", cb == set(bpow), f"{len(cb)} elements"))
+    bad = _commuting_pairs(apow[:-1], bpow[:-1])
     checks.append(("no nonidentity power pair commutes", bad == 0,
                    f"{(n - 1) * (n - 2)} pairs"))
     for dm in _proper_divisors(n):
-        ga = power(alpha, dm)
+        ga = apow[dm - 1]
         for dk in _proper_divisors(n - 1):
-            gb = power(beta, dk)
+            gb = bpow[dk - 1]
             chk = CommuteChecker(gb)
             survivors = [g for g in iter_permutation_centralizer(ga)
                          if g.is_permutation() and chk.commutes(g)]
@@ -672,19 +670,16 @@ def _full_cycle_pair_distance(a: PInj, b: PInj):
         return 0
     if commutes_naive(a, b):
         return 1
-    apow = {power(a, s) for s in range(1, n)}
-    bpow = {power(b, t) for t in range(1, n)}
-    ident = PInj.identity(n)
-    if (apow & bpow) - {ident}:
+    apow = [power(a, s) for s in range(1, n)]
+    bpow = [power(b, t) for t in range(1, n)]
+    if (set(apow) & set(bpow)) - {PInj.identity(n)}:
         return 2
-    for s in range(1, n):
-        chk = CommuteChecker(power(a, s))
-        if any(chk.commutes(power(b, t)) for t in range(1, n)):
-            return 3
+    if _commuting_pairs(apow, bpow):
+        return 3
     for dm in _proper_divisors(n):
-        ga = power(a, dm)
+        ga = apow[dm - 1]
         for dk in _proper_divisors(n):
-            gb = power(b, dk)
+            gb = bpow[dk - 1]
             if len(overlap_classes(ga, gb)) > 1:
                 return 4
             joint = permutation_joint_centralizer(ga, gb)

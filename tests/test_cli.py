@@ -121,6 +121,7 @@ def test_guard_exit_codes(capsys):
                  ["graph", "--n", "8"],
                  ["verify", "distance5", "--n", "12"],
                  ["centralizer", "--n", "8", "[1 2]"],
+                 ["centralizer", "--n", "13", "--force", "[1 2]"],
                  ["witness", "--n", "15", "--pair", "prime-power"]):
         code, _, err = run_main(capsys, argv)
         assert code == 2, argv

@@ -4,13 +4,14 @@ import math
 import pytest
 
 from invsemi import construct, graph as gm
+from invsemi._bulk import elements_matrix, iter_matrix_chunks
 from invsemi.construct import (SemigroupSet, balanced_null_order,
                                balanced_null_semigroups, classify_semigroup,
                                closure, count_elements, enumerate_elements,
                                idempotent_semilattice,
                                max_commutative_nilpotent, null_semigroup)
-from invsemi.pinj import (PInj, element_from_id, format_element,
-                          monoid_order, power)
+from invsemi.pinj import (PInj, element_from_id, element_id,
+                          format_element, monoid_order, power)
 
 LAMBDA = {1: 1, 2: 2, 3: 3, 4: 7, 5: 13, 6: 34, 7: 73, 8: 209, 9: 501,
           10: 1546, 11: 4051}
@@ -56,6 +57,28 @@ def test_enumerate_filters_are_correct():
         els = list(enumerate_elements(4, filt))
         assert all(pred(e) for e in els)
         assert len(set(els)) == len(els)
+
+
+def test_enumerate_ascending_ids_match_matrix():
+    for n in range(6):
+        for filt in ("all", "nilpotent", "idempotent", "permutation"):
+            for r in (None, -1, *range(n + 2)):
+                got = [element_id(e) for e in enumerate_elements(n, filt, r)]
+                ids, _ = elements_matrix(n, filt, r)
+                assert got == ids.tolist(), (n, filt, r)
+                assert all(a < b for a, b in zip(got, got[1:]))
+                assert all(e == element_from_id(n, i) for e, i in
+                           zip(enumerate_elements(n, filt, r), got))
+
+
+def test_enumerate_rejects_bad_arguments():
+    for call in (lambda: enumerate_elements(4, "bogus"),
+                 lambda: elements_matrix(4, "bogus"),
+                 lambda: iter_matrix_chunks(4, "bogus")):
+        with pytest.raises(ValueError, match="unknown filter"):
+            call()
+    with pytest.raises(ValueError, match="n <= 12"):
+        enumerate_elements(13)
 
 
 def test_enumerate_max_rank():
