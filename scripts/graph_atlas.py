@@ -33,7 +33,7 @@ def main() -> int:
     print(f"{'n':>3} {'vertices':>9} {'edges':>10} {'clique':>7}"
           f" {'diameter':>9}")
     for n in range(args.min, args.max + 1):
-        g = ctx.full_graph(n)
+        g = ctx.graph(n)
         size, _ = gm.clique_number(g)
         res = gm.diameter(g)
         diam = (f"{res.value}" if res.value != gm.INFINITY
@@ -42,7 +42,7 @@ def main() -> int:
               f" {diam:>9}")
         if args.ideals:
             for r in range(1, n):
-                sub = ctx.ideal_graph(n, r)
+                sub = ctx.graph(n, r)
                 rres = gm.diameter(sub)
                 rd = (f"{rres.value}" if rres.value != gm.INFINITY
                       else f"disc({len(rres.components)})")

@@ -34,6 +34,7 @@ __all__ = [
 
 _MAX_MATRIX_GROUND = 12
 _FILTERS = ("all", "idempotent", "permutation", "nilpotent")
+_ADJACENCY_BLOCK = 256  # representative rows per dense comparison block
 
 
 def _nilpotent_mask(m: np.ndarray, n: int) -> np.ndarray:
@@ -270,7 +271,7 @@ def _conjugate_rows(m: np.ndarray, out: np.ndarray, reps: np.ndarray,
             frontier.append((nxt, q))
 
 
-def adjacency_packed(m: np.ndarray, block: int = 256) -> np.ndarray:
+def adjacency_packed(m: np.ndarray) -> np.ndarray:
     """Commutation adjacency of all row pairs, bit-packed, diagonal clear.
 
     Only one representative row per conjugacy class is compared densely
@@ -284,8 +285,8 @@ def adjacency_packed(m: np.ndarray, block: int = 256) -> np.ndarray:
     words = (big_n + 63) // 64
     out = np.empty((big_n, words), dtype=np.uint64)
     reps, inverse = conjugacy_classes(m)
-    for s in range(0, len(reps), block):
-        rows = reps[s:s + block]
+    for s in range(0, len(reps), _ADJACENCY_BLOCK):
+        rows = reps[s:s + _ADJACENCY_BLOCK]
         out[rows] = pack_bool_rows(_commuting_rows(m, aug, rows), big_n)
     _conjugate_rows(m, out, reps, inverse)
     return out

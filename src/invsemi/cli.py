@@ -35,10 +35,12 @@ LAMBDA_TABLE = {2: 2, 3: 3, 4: 7, 5: 13, 6: 34, 7: 73, 8: 209, 9: 501,
 EXTREMAL_ORDER = {3: 3, 4: 7, 5: 13, 6: 34, 7: 73}
 EXTREMAL_COUNT = {4: 6, 5: 20, 6: 20, 7: 70}
 
-GUARD_FULL_GRAPH = 6     # full-monoid graph materialization
-GUARD_EXTREMAL = 7       # exhaustive nilpotent clique search
-GUARD_DISTANCE5 = (9, 25, 27)
-GUARD_CLIQUE = 4         # max-clique uniqueness enumeration
+# Guarded ranges of n; --force lifts each.  The extremal search's range is
+# ``construct.EXTREMAL_NS``.
+GRAPH_NS = range(7)      # graph materialization, general centralizers
+GRAPH_SUITE_NS = range(3, GRAPH_NS.stop)  # the diameter and pair suites
+CLIQUE_NS = range(5)     # max-clique uniqueness enumeration
+DISTANCE5_NS = (9, 25, 27)
 
 
 class UsageError(Exception):
@@ -109,6 +111,13 @@ class SuiteReport:
                                        value, bool(value == expected), ms))
         return value
 
+    def relay(self, checks, anchor):
+        """Record each (claim, ok, note) of a witnesses report as a derived
+        check."""
+        for claim, ok, note in checks:
+            self.check(f"{claim} ({note})" if note else claim, anchor,
+                       DERIVED, True, ok)
+
     def to_dict(self):
         return {
             "suite": self.suite,
@@ -127,51 +136,59 @@ class CliContext:
     force: bool = False
     _graphs: dict = field(default_factory=dict)
 
-    def _cache_path(self, name):
-        return None if self.cache_dir is None else Path(self.cache_dir) / name
+    def guard(self, what: str, n: int, allowed) -> None:
+        """Usage error unless ``n`` is in ``allowed`` or ``force`` is set."""
+        if n in allowed or self.force:
+            return
+        if isinstance(allowed, range):
+            span = f"n <= {allowed.stop - 1}"
+            if allowed.start:
+                span = f"{allowed.start} <= {span}"
+        else:
+            span = f"n in {allowed}"
+        raise UsageError(f"{what} is guarded to {span}; --force lifts the"
+                         " guard")
 
-    def full_graph(self, n: int) -> graphmod.CommutingGraph:
-        key = ("full", n)
+    def graph(self, n: int, max_rank: int | None = None
+              ) -> graphmod.CommutingGraph:
+        """Commuting graph of I(n) minus its center; with ``max_rank`` r,
+        that of the nonzero elements of rank at most r, built from those
+        elements alone.  Memoized; with ``cache_dir`` the full graph is
+        also kept on disk."""
+        key = (n, max_rank)
         if key in self._graphs:
             return self._graphs[key]
-        g = None
-        path = self._cache_path(f"icgr-full-n{n}.bin")
+        if max_rank is not None and not 1 <= max_rank <= n - 1:
+            raise UsageError("need 1 <= r <= n-1 for an ideal graph")
+        path = None
+        if max_rank is None and self.cache_dir is not None:
+            path = Path(self.cache_dir) / f"icgr-full-n{n}.bin"
         if path is not None and path.exists() and not self.force:
             try:
                 g = graphmod.load_packed(path)
             except ValueError as e:
                 raise UsageError(f"bad graph cache {path}: {e}; delete it or"
                                  " rerun with --force to rebuild it") from None
-        if g is None:
-            if n > GUARD_FULL_GRAPH and not self.force:
-                raise UsageError(
-                    f"full graph materialization is guarded to"
-                    f" n <= {GUARD_FULL_GRAPH}; --force lifts the guard")
+        else:
+            self.guard("graph materialization", n, GRAPH_NS)
             cap = (1 << 40) if self.force else graphmod.VERTEX_CAP
-            g = graphmod.build_graph(n, center="monoid", vertex_cap=cap)
+            if max_rank is None:
+                g = graphmod.build_graph(n, center="monoid", vertex_cap=cap)
+            else:
+                g = graphmod.build_graph(
+                    n, max_rank=max_rank, center="ideal",
+                    label=f"rank{max_rank}-ideal-n{n}", vertex_cap=cap)
             if path is not None:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 graphmod.save_packed(g, path)
         self._graphs[key] = g
         return g
 
-    def ideal_graph(self, n: int, r: int) -> graphmod.CommutingGraph:
-        """Commuting graph of the nonzero elements of rank at most r, built
-        from those elements alone."""
-        if not 1 <= r <= n - 1:
-            raise UsageError("need 1 <= r <= n-1 for an ideal graph")
-        key = ("ideal", n, r)
-        if key in self._graphs:
-            return self._graphs[key]
-        if n > GUARD_FULL_GRAPH and not self.force:
-            raise UsageError(
-                f"ideal graph materialization is guarded to"
-                f" n <= {GUARD_FULL_GRAPH}; --force lifts the guard")
-        cap = (1 << 40) if self.force else graphmod.VERTEX_CAP
-        g = graphmod.build_graph(n, max_rank=r, center="ideal",
-                                 label=f"rank{r}-ideal-n{n}", vertex_cap=cap)
-        self._graphs[key] = g
-        return g
+    def extremal(self, n: int) -> construct.ExtremalReport:
+        """The maximum commutative nilpotent search at n, guarded."""
+        self.guard("the extremal search", n, construct.EXTREMAL_NS)
+        return construct.max_commutative_nilpotent(
+            n, budget_seconds=self.budget_seconds, force=self.force)
 
 
 # -- small independent oracles ---------------------------------------------------
@@ -254,14 +271,10 @@ def _suite_balanced_null(s: SuiteReport, p: dict, ctx: CliContext):
 
 def _suite_extremal(s: SuiteReport, p: dict, ctx: CliContext):
     n = p.get("n") or 4
-    if not 3 <= n <= GUARD_EXTREMAL and not ctx.force:
-        raise UsageError(f"extremal search is guarded to 3 <= n <="
-                         f" {GUARD_EXTREMAL}; --force lifts the guard")
     box = {}
 
     def search():
-        box["rep"] = construct.max_commutative_nilpotent(
-            n, budget_seconds=ctx.budget_seconds, force=ctx.force)
+        box["rep"] = ctx.extremal(n)
         return box["rep"].max_order
 
     s.check(f"maximum commutative nilpotent order at n={n}", "order-table",
@@ -304,10 +317,8 @@ def _suite_extremal(s: SuiteReport, p: dict, ctx: CliContext):
 
 def _suite_clique(s: SuiteReport, p: dict, ctx: CliContext):
     n = p.get("n") or 3
-    if n > GUARD_CLIQUE and not ctx.force:
-        raise UsageError(f"clique suite is guarded to n <= {GUARD_CLIQUE};"
-                         " --force lifts the guard")
-    g = ctx.full_graph(n)
+    ctx.guard("the clique suite", n, CLIQUE_NS)
+    g = ctx.graph(n)
     box = {}
 
     def search():
@@ -345,9 +356,7 @@ def _suite_clique(s: SuiteReport, p: dict, ctx: CliContext):
 
 def _suite_ideal_diameters(s: SuiteReport, p: dict, ctx: CliContext):
     n = p.get("n") or 4
-    if not 3 <= n <= GUARD_FULL_GRAPH and not ctx.force:
-        raise UsageError(f"ideal diameters are guarded to 3 <= n <="
-                         f" {GUARD_FULL_GRAPH}; --force lifts the guard")
+    ctx.guard("the ideal-diameter suite", n, GRAPH_SUITE_NS)
     for r in range(1, n):
         if r == n - 1:
             expected = 4
@@ -357,21 +366,19 @@ def _suite_ideal_diameters(s: SuiteReport, p: dict, ctx: CliContext):
             expected = 2
         s.check(f"diameter of the rank<={r} ideal graph on {n} points",
                 "diameter-thresholds", REFERENCE, expected,
-                lambda r=r: graphmod.diameter(ctx.ideal_graph(n, r)).value)
+                lambda r=r: graphmod.diameter(ctx.graph(n, r)).value)
 
 
 def _suite_full_diameter(s: SuiteReport, p: dict, ctx: CliContext):
     n = p.get("n") or 4
-    if not 3 <= n <= GUARD_FULL_GRAPH and not ctx.force:
-        raise UsageError(f"full diameters are guarded to 3 <= n <="
-                         f" {GUARD_FULL_GRAPH}; --force lifts the guard")
+    ctx.guard("the full-diameter suite", n, GRAPH_SUITE_NS)
     expected = 4 if n % 2 == 0 else graphmod.INFINITY
     s.check(f"diameter of the full commuting graph at n={n}",
             "even-diameter" if n % 2 == 0 else "prime-disconnect", REFERENCE,
             expected,
-            lambda: graphmod.diameter(ctx.full_graph(n)).value)
+            lambda: graphmod.diameter(ctx.graph(n)).value)
     if n % 2 == 1:
-        g = ctx.full_graph(n)
+        g = ctx.graph(n)
         cyc = pinj.PInj.cycle(n, range(n))
         spot = pinj.PInj.from_dict(n, {0: 0})
         s.check("a full cycle cannot reach an idempotent", "prime-disconnect",
@@ -384,9 +391,7 @@ def _suite_full_diameter(s: SuiteReport, p: dict, ctx: CliContext):
 
 def _suite_distance5(s: SuiteReport, p: dict, ctx: CliContext):
     n = p.get("n") or 9
-    if n not in GUARD_DISTANCE5 and not ctx.force:
-        raise UsageError(f"distance-5 certification is guarded to"
-                         f" n in {GUARD_DISTANCE5}; --force lifts the guard")
+    ctx.guard("distance-5 certification", n, DISTANCE5_NS)
     box = {}
 
     def run():
@@ -396,9 +401,7 @@ def _suite_distance5(s: SuiteReport, p: dict, ctx: CliContext):
     s.check(f"the prime-power pair at n={n} is certified", "certificate",
             DERIVED, True, run)
     rep = box["rep"]
-    for claim, ok, note in rep.checks:
-        s.check(f"{claim} ({note})" if note else claim, "certificate",
-                DERIVED, True, ok)
+    s.relay(rep.checks, "certificate")
     if n == 9:
         s.check("the cube's centralizer order at n=9", "centralizer-size",
                 REFERENCE, 352, rep.centralizer_order)
@@ -407,24 +410,17 @@ def _suite_distance5(s: SuiteReport, p: dict, ctx: CliContext):
 
 def _suite_nilpotent_pairs(s: SuiteReport, p: dict, ctx: CliContext):
     n = p.get("n") or 4
-    if not 3 <= n <= GUARD_FULL_GRAPH and not ctx.force:
-        raise UsageError(f"nilpotent pairs are guarded to 3 <= n <="
-                         f" {GUARD_FULL_GRAPH}; --force lifts the guard")
+    ctx.guard("the nilpotent-pairs suite", n, GRAPH_SUITE_NS)
     a, b = witnesses.extremal_nilpotent_pair(n)
     s.check(f"the spanning chain and its reversal sit at distance 4 in the"
             f" top proper ideal at n={n}", "pair-distance", REFERENCE, 4,
-            lambda: graphmod.distance(ctx.ideal_graph(n, n - 1), a, b).value)
+            lambda: graphmod.distance(ctx.graph(n, n - 1), a, b).value)
 
 
 def _suite_sym_gap(s: SuiteReport, p: dict, ctx: CliContext):
-    rep = witnesses.sym_counterexample()
-    for claim, ok, note in rep.checks:
-        s.check(f"{claim} ({note})" if note else claim, "triple-commutation",
-                DERIVED, True, ok)
+    s.relay(witnesses.sym_counterexample().checks, "triple-commutation")
     rep2 = witnesses.dolzan_distance_check(10)
-    for claim, ok, note in rep2.checks:
-        s.check(f"{claim} ({note})" if note else claim, "divisor-grid",
-                DERIVED, True, ok)
+    s.relay(rep2.checks, "divisor-grid")
     s.check("the ten-point total-cycle pair is at distance five or more",
             "divisor-grid", REFERENCE, True, rep2.passed)
 
@@ -623,15 +619,28 @@ def _require_n(args) -> int:
     return args.n
 
 
-def _print_report(rep: SuiteReport):
-    print(f"suite {rep.suite}"
-          + (f"  {rep.params}" if rep.params else ""))
+def _emit(args, out, lines) -> None:
+    """Print ``out`` as indented JSON under ``--json``, else the text
+    ``lines``."""
+    if args.json:
+        print(json.dumps(_jsonable(out), indent=2))
+    else:
+        for line in lines:
+            print(line)
+
+
+def _table(out: dict, width: int):
+    return (f"{k:{width}} {_jsonable(v)}" for k, v in out.items())
+
+
+def _report_lines(rep: SuiteReport):
+    yield f"suite {rep.suite}" + (f"  {rep.params}" if rep.params else "")
     for c in rep.checks:
         mark = "PASS" if c.ok else "FAIL"
-        print(f"  [{mark}] {c.claim}: computed {_fmt(c.computed)},"
-              f" expected {_fmt(c.expected)} [{c.provenance}]"
-              f" ({c.ms:.0f} ms)")
-    print(f"  => {'pass' if rep.passed else 'FAIL'}")
+        yield (f"  [{mark}] {c.claim}: computed {_fmt(c.computed)},"
+               f" expected {_fmt(c.expected)} [{c.provenance}]"
+               f" ({c.ms:.0f} ms)")
+    yield f"  => {'pass' if rep.passed else 'FAIL'}"
 
 
 def cmd_elem(args, ctx) -> int:
@@ -639,7 +648,6 @@ def cmd_elem(args, ctx) -> int:
     xs = [pinj.parse(t, n) for t in args.element]
     if not xs:
         raise UsageError("give one element (inspect) or two (compose)")
-    out = {}
     if len(xs) == 1:
         x = xs[0]
         c = pinj.classify(x)
@@ -669,11 +677,7 @@ def cmd_elem(args, ctx) -> int:
             "ba": pinj.format_element(ba),
             "commute": agree,
         }
-    if args.json:
-        print(json.dumps(_jsonable(out), indent=2))
-    else:
-        for k, v in out.items():
-            print(f"{k:16} {_jsonable(v)}")
+    _emit(args, out, _table(out, 16))
     return EXIT_PASS
 
 
@@ -689,21 +693,16 @@ def cmd_centralizer(args, ctx) -> int:
                 raise AssertionError("stream disagrees with the counting"
                                      " formula")
     else:
-        if n > GUARD_FULL_GRAPH and not ctx.force:
-            raise UsageError("general centralizers enumerate the whole"
-                             f" monoid; guarded to n <= {GUARD_FULL_GRAPH}")
+        ctx.guard("a general centralizer (it enumerates the whole monoid)",
+                  n, GRAPH_NS)
         cz = commute.centralizer(x)
         order, elems = len(cz.elements), (list(cz.elements) if args.list
                                           else None)
     out = {"element": pinj.format_element(x), "order": order}
     if elems is not None:
         out["elements"] = sorted(pinj.format_element(e) for e in elems)
-    if args.json:
-        print(json.dumps(_jsonable(out), indent=2))
-    else:
-        print(f"centralizer order {order}")
-        for t in out.get("elements", ()):
-            print(f"  {t}")
+    _emit(args, out, [f"centralizer order {order}",
+                      *(f"  {t}" for t in out.get("elements", ()))])
     return EXIT_PASS
 
 
@@ -712,9 +711,9 @@ def cmd_graph(args, ctx) -> int:
     if args.ideal is not None:
         if args.filter != "all":
             raise UsageError("--ideal applies to the unfiltered monoid")
-        g = ctx.ideal_graph(n, args.ideal)
+        g = ctx.graph(n, args.ideal)
     elif args.filter == "all":
-        g = ctx.full_graph(n)
+        g = ctx.graph(n)
     else:
         center = {"nilpotent": "ideal", "idempotent": "monoid",
                   "permutation": "group"}[args.filter]
@@ -748,31 +747,22 @@ def cmd_graph(args, ctx) -> int:
     if args.save:
         graphmod.save_packed(g, args.save)
         info["saved"] = args.save
-    if args.json:
-        print(json.dumps(_jsonable(info), indent=2))
-    else:
-        for k, v in info.items():
-            print(f"{k:14} {_jsonable(v)}")
+    _emit(args, info, _table(info, 14))
     return EXIT_PASS
 
 
 def cmd_extremal(args, ctx) -> int:
     n = _require_n(args)
-    rep = construct.max_commutative_nilpotent(
-        n, budget_seconds=ctx.budget_seconds, force=ctx.force)
+    rep = ctx.extremal(n)
     out = {"n": n, "max_order": rep.max_order, "count": rep.count,
            "elapsed_s": round(rep.elapsed_s, 3)}
+    lines = [f"n={n}: maximum commutative nilpotent order {rep.max_order},"
+             f" {rep.count} witnesses ({rep.elapsed_s:.1f}s)"]
     if args.list:
         out["witnesses"] = [w.serialize().splitlines() for w in rep.witnesses]
-    if args.json:
-        print(json.dumps(_jsonable(out), indent=2))
-    else:
-        print(f"n={n}: maximum commutative nilpotent order {rep.max_order},"
-              f" {rep.count} witnesses ({rep.elapsed_s:.1f}s)")
-        if args.list:
-            for w in rep.witnesses:
-                print("  " + " ".join(pinj.format_element(e)
-                                      for e in w.elements))
+        lines += ["  " + " ".join(pinj.format_element(e) for e in w.elements)
+                  for w in rep.witnesses]
+    _emit(args, out, lines)
     return EXIT_PASS
 
 
@@ -785,9 +775,7 @@ def cmd_witness(args, ctx) -> int:
             raise UsageError("--pair ideal needs --ideal r")
         a, b = witnesses.ideal_witness_pair(n, args.ideal)
     elif args.pair == "prime-power":
-        if n not in GUARD_DISTANCE5 and not ctx.force:
-            raise UsageError(f"prime-power pairs are guarded to"
-                             f" n in {GUARD_DISTANCE5}")
+        ctx.guard("the prime-power pair", n, DISTANCE5_NS)
         a, b = witnesses.prime_power_pair(*witnesses._factor_odd_prime_power(n))
     elif args.idempotent:
         if len(args.element) != 1:
@@ -799,26 +787,16 @@ def cmd_witness(args, ctx) -> int:
     elif len(args.element) == 2:
         a, b = (pinj.parse(t, n) for t in args.element)
         w = witnesses.build_path(a, b)
-        if args.json:
-            print(json.dumps(_jsonable({
-                "length": w.length,
-                "vertices": [pinj.format_element(v) for v in w.vertices]}),
-                indent=2))
-        else:
-            print(f"length {w.length}")
-            for v in w.vertices:
-                print(f"  {pinj.format_element(v)}")
+        vertices = [pinj.format_element(v) for v in w.vertices]
+        _emit(args, {"length": w.length, "vertices": vertices},
+              [f"length {w.length}", *(f"  {v}" for v in vertices)])
         return EXIT_PASS
     else:
         raise UsageError("give two elements for a path, --idempotent with"
                          " one element, or --pair"
                          " {extremal,ideal,prime-power}")
     out = {"a": pinj.format_element(a), "b": pinj.format_element(b)}
-    if args.json:
-        print(json.dumps(out, indent=2))
-    else:
-        print(out["a"])
-        print(out["b"])
+    _emit(args, out, out.values())
     return EXIT_PASS
 
 
@@ -827,54 +805,54 @@ def cmd_verify(args, ctx) -> int:
               if getattr(args, k, None) is not None}
     names = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
     reports = [run_suite(nm, params, ctx) for nm in names]
-    if args.json:
-        payload = ([r.to_dict() for r in reports] if args.suite == "all"
-                   else reports[0].to_dict())
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in reports:
-            _print_report(r)
+    payload = ([r.to_dict() for r in reports] if args.suite == "all"
+               else reports[0].to_dict())
+    _emit(args, payload, (line for r in reports for line in _report_lines(r)))
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 
 def cmd_search_open(args, ctx) -> int:
     n = _require_n(args)
     rep = witnesses.search_open(n, samples=args.samples, seed=args.seed)
+    hist = {str(_jsonable(k)): v for k, v in sorted(rep.histogram.items(),
+                                                    key=lambda kv: str(kv[0]))}
     out = {"n": n, "samples": rep.samples, "seed": rep.seed,
-           "histogram": {str(_jsonable(k)): v
-                         for k, v in sorted(rep.histogram.items(),
-                                            key=lambda kv: str(kv[0]))}}
-    if args.json:
-        print(json.dumps(_jsonable(out), indent=2))
-    else:
-        print(f"n={n}, {rep.samples} sampled full-cycle pairs"
-              f" (seed {rep.seed})")
-        for k, v in out["histogram"].items():
-            print(f"  distance {k}: {v}")
+           "histogram": hist}
+    _emit(args, out, [f"n={n}, {rep.samples} sampled full-cycle pairs"
+                      f" (seed {rep.seed})",
+                      *(f"  distance {k}: {v}" for k, v in hist.items())])
     return EXIT_PASS
+
+
+def _option(*names, **kw) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that read it."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*names, **kw)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=None,
                         help="ground set size")
-    common.add_argument("--ideal", type=int, default=None, metavar="R",
-                        help="restrict to the ideal of rank at most R")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--budget-seconds", type=float, default=None,
-                        help="bounds the clique search only, not the graph"
-                             " build; exit 3 on overrun, no checkpoint kept")
-    common.add_argument("--cache-dir", default=None,
-                        help="directory for packed graph caches")
-    common.add_argument("--force", action="store_true",
-                        help="lift runtime guards (slow, never wrong)")
+    ideal = _option("--ideal", type=int, default=None, metavar="R",
+                    help="restrict to the ideal of rank at most R")
+    budget = _option("--budget-seconds", type=float, default=None,
+                     help="bounds the clique search only, not the graph"
+                          " build; exit 3 on overrun, no checkpoint kept")
+    cache = _option("--cache-dir", default=None,
+                    help="directory for packed graph caches")
+    force = _option("--force", action="store_true",
+                    help="lift runtime guards (slow, never wrong)")
 
     ap = argparse.ArgumentParser(
         prog="invsemi",
         description="Partial injective transformations: normal forms,"
                     " commutation, extremal subsemigroups, commuting"
                     " graphs.")
+    ap.set_defaults(budget_seconds=None, cache_dir=None, force=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("elem", parents=[common],
@@ -883,13 +861,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="element text, e.g. '(1 2)|[3 4]'")
     p.set_defaults(func=cmd_elem)
 
-    p = sub.add_parser("centralizer", parents=[common],
+    p = sub.add_parser("centralizer", parents=[common, force],
                        help="centralizer order (and elements)")
     p.add_argument("element")
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=cmd_centralizer)
 
-    p = sub.add_parser("graph", parents=[common],
+    p = sub.add_parser("graph", parents=[common, ideal, budget, cache, force],
                        help="build a commuting graph; stats and exports")
     p.add_argument("--filter", default="all",
                    choices=("all", "nilpotent", "idempotent", "permutation"))
@@ -901,13 +879,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the packed binary cache")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("extremal", parents=[common],
+    p = sub.add_parser("extremal", parents=[common, budget, force],
                        help="maximum commutative nilpotent subsemigroups")
     p.add_argument("--list", action="store_true",
                    help="print every witness")
     p.set_defaults(func=cmd_extremal)
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness", parents=[common, ideal, force],
                        help="explicit pairs and commuting paths")
     p.add_argument("element", nargs="*")
     p.add_argument("--idempotent", action="store_true",
@@ -916,7 +894,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("extremal", "ideal", "prime-power"))
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, budget, cache, force],
                        help="run a verification suite")
     p.add_argument("suite", choices=SUITE_ORDER + ("all",))
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
@@ -942,10 +920,7 @@ def main(argv=None) -> int:
     except graphmod.BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (pinj.ParseError, ValueError) as e:
+    except (UsageError, pinj.ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

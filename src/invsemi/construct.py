@@ -35,6 +35,7 @@ __all__ = [
     "SemigroupSet",
     "SemigroupFlags",
     "ExtremalReport",
+    "EXTREMAL_NS",
     "enumerate_elements",
     "count_elements",
     "balanced_null_order",
@@ -284,6 +285,9 @@ def closure(seed, n=None, max_size: int = 1_000_000) -> SemigroupSet:
 # -- extremal commutative nilpotent subsemigroups ------------------------------
 
 
+EXTREMAL_NS = range(3, 8)  # where max_commutative_nilpotent runs unforced
+
+
 @dataclass(frozen=True)
 class ExtremalReport:
     n: int
@@ -298,14 +302,16 @@ def max_commutative_nilpotent(n: int, budget_seconds=None,
     """Search the commuting graph on nonzero nilpotents for all maximum
     cliques, then close each under product (the closure must not grow).
 
-    Exhaustive and exact; guarded to 3 <= n <= 7 where the graph sizes are
-    72 to 37632 vertices (``force`` lifts the guard: still exact, but the
-    search may not finish in reasonable time).
+    Exhaustive and exact; guarded to n in ``EXTREMAL_NS``, where the graph
+    sizes are 72 to 37632 vertices (``force`` lifts the guard: still exact,
+    but the search may not finish in reasonable time).
     """
     from . import graph as _graph
 
-    if not 3 <= n <= 7 and not force:
-        raise ValueError("supported for 3 <= n <= 7; pass force=True to try anyway")
+    if n not in EXTREMAL_NS and not force:
+        raise ValueError(f"supported for {EXTREMAL_NS.start} <= n <="
+                         f" {EXTREMAL_NS.stop - 1}; pass force=True to try"
+                         " anyway")
     t0 = time.perf_counter()
     ids, mat = elements_matrix(n, "nilpotent")
     keep = ids != 0  # drop the zero map; it is central everywhere here

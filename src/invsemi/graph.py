@@ -25,6 +25,7 @@ import numpy as np
 from ._bulk import (adjacency_packed, conjugacy_classes, elements_matrix,
                     pack_bool_rows, row_element)
 from .commute import commutes_naive
+from .construct import count_elements
 from .pinj import PInj, element_from_id, element_id, format_element
 
 __all__ = [
@@ -227,9 +228,10 @@ def build_graph(n: int, filt: str = "all", max_rank=None, center="monoid",
     ``center`` names what to exclude: "monoid" drops the zero map and the
     identity, "ideal" drops only zero (right for proper ideals, whose
     center is trivial), "group" drops only the identity, "none" keeps
-    everything; or pass explicit element IDs / elements.
+    everything; or pass explicit element IDs / elements.  A family that
+    exceeds ``vertex_cap`` even with every center dropped is rejected
+    before any element is enumerated.
     """
-    ids, mat = elements_matrix(n, filt, max_rank)
     identity_id = element_id(PInj.identity(n))
     if center == "monoid":
         center_ids = (0, identity_id)
@@ -245,6 +247,10 @@ def build_graph(n: int, filt: str = "all", max_rank=None, center="monoid",
     if label is None:
         scope = filt if max_rank is None else f"{filt}-rank{max_rank}"
         label = f"{scope}-n{n}"
+    least = count_elements(n, filt, max_rank) - len(center_ids)
+    if least > vertex_cap:
+        raise ValueError(f"at least {least} vertices exceeds cap {vertex_cap}")
+    ids, mat = elements_matrix(n, filt, max_rank)
     return graph_from_matrix(n, ids, mat, center_ids, label, vertex_cap)
 
 
@@ -698,7 +704,7 @@ def save_packed(g: CommutingGraph, path) -> None:
         fh.write(f"{digest.hex()}  {os.path.basename(str(path))}\n")
 
 
-def load_packed(path, verify_checksum: bool = True) -> CommutingGraph:
+def load_packed(path) -> CommutingGraph:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _FORMAT_MAGIC:
@@ -708,15 +714,14 @@ def load_packed(path, verify_checksum: bool = True) -> CommutingGraph:
     if blob[4] != _FORMAT_VERSION:
         raise ValueError(f"unsupported format version {blob[4]}")
     payload, digest = blob[:-32], blob[-32:]
-    if verify_checksum:
-        if hashlib.sha256(payload).digest() != digest:
-            raise ValueError(f"checksum mismatch for {path}")
-        side = f"{path}.sha256"
-        if os.path.exists(side):
-            with open(side) as fh:
-                recorded = fh.read().split()[0]
-            if digest.hex() != recorded:
-                raise ValueError(f"sidecar checksum mismatch for {path}")
+    if hashlib.sha256(payload).digest() != digest:
+        raise ValueError(f"checksum mismatch for {path}")
+    side = f"{path}.sha256"
+    if os.path.exists(side):
+        with open(side) as fh:
+            recorded = fh.read().split()[0]
+        if digest.hex() != recorded:
+            raise ValueError(f"sidecar checksum mismatch for {path}")
     n = int.from_bytes(payload[5:7], "little")
     nverts = int.from_bytes(payload[7:15], "little")
     ncenter = int.from_bytes(payload[15:17], "little")

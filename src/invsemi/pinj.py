@@ -176,12 +176,6 @@ class PInj:
     def __pow__(self, p: int) -> "PInj":
         return power(self, p)
 
-    def restrict(self, points) -> "PInj":
-        """Restriction to ``dom() & points``; image values are kept as is."""
-        keep = set(points)
-        return PInj(self.n, tuple(y if x in keep else UNDEF
-                                  for x, y in enumerate(self.img)))
-
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other):

@@ -118,14 +118,39 @@ def test_verify_determinism(capsys):
 
 def test_guard_exit_codes(capsys):
     for argv in (["verify", "extremal", "--n", "9"],
+                 ["extremal", "--n", "9"],
                  ["graph", "--n", "8"],
+                 ["verify", "full-diameter", "--n", "7"],
+                 ["verify", "clique", "--n", "5"],
                  ["verify", "distance5", "--n", "12"],
                  ["centralizer", "--n", "8", "[1 2]"],
-                 ["centralizer", "--n", "13", "--force", "[1 2]"],
                  ["witness", "--n", "15", "--pair", "prime-power"]):
         code, _, err = run_main(capsys, argv)
         assert code == 2, argv
-        assert "error:" in err
+        assert "error:" in err and "--force" in err, argv
+    code, _, err = run_main(capsys, ["centralizer", "--n", "13", "--force",
+                                     "[1 2]"])
+    assert code == 2
+    assert "error:" in err
+    # options a subcommand never reads are argparse errors, not ignored
+    unread = {"elem": ("--ideal", "--budget-seconds", "--cache-dir",
+                       "--force"),
+              "centralizer": ("--ideal", "--budget-seconds", "--cache-dir"),
+              "extremal": ("--ideal", "--cache-dir"),
+              "witness": ("--budget-seconds", "--cache-dir"),
+              "verify": ("--ideal",),
+              "search-open": ("--ideal", "--budget-seconds", "--cache-dir",
+                              "--force")}
+    rest = {"elem": ["(1 2)"], "centralizer": ["(1 2)"],
+            "witness": ["--pair", "extremal"], "verify": ["lambda"]}
+    for command, options in unread.items():
+        for option in options:
+            flag = option if option == "--force" else f"{option}=1"
+            argv = [command, "--n", "3", flag, *rest.get(command, [])]
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(capsys):
@@ -233,17 +258,17 @@ def test_graph_ideal(capsys):
 def test_ideal_graph_equals_induced_subgraph():
     ctx = cli.CliContext()
     for n in (4, 5):
-        full = ctx.full_graph(n)
+        full = ctx.graph(n)
         ranks = (full.imgs != full.n).sum(axis=1)
         for r in range(1, n):
-            g = ctx.ideal_graph(n, r)
+            g = ctx.graph(n, r)
             sub = gm.induced_subgraph(full, ranks <= r)
             assert g.label == f"rank{r}-ideal-n{n}"
             assert g.ids.tobytes() == sub.ids.tobytes()
             assert g.packed.tobytes() == sub.packed.tobytes()
-            assert ctx.ideal_graph(n, r) is g
+            assert ctx.graph(n, r) is g
     with pytest.raises(cli.UsageError, match="--force"):
-        cli.CliContext().ideal_graph(7, 3)
+        cli.CliContext().graph(7, 3)
 
 
 def test_graph_cache_round_trip(capsys, tmp_path):

@@ -198,6 +198,21 @@ def test_vertex_cap():
         gm.build_graph(4, vertex_cap=10)
 
 
+def test_vertex_cap_checked_before_enumeration(monkeypatch):
+    assert gm.build_graph(4, vertex_cap=207).num_vertices == 207
+    # the zero map is no permutation, so only the exact count trips here
+    with pytest.raises(ValueError, match="23 vertices exceeds cap 22"):
+        gm.build_graph(4, filt="permutation", vertex_cap=22)
+
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("enumerated an oversize family")
+
+    monkeypatch.setattr(gm, "elements_matrix", enumerate_nothing)
+    for n, filt in ((8, "nilpotent"), (10, "permutation"), (7, "all")):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            gm.build_graph(n, filt)
+
+
 def test_index_of_accepts_elements_and_ids(full_graphs):
     g = full_graphs(3)
     e = PInj.cycle(3, (0, 1, 2))
