@@ -645,9 +645,9 @@ def _report_lines(rep: SuiteReport):
 
 def cmd_elem(args, ctx) -> int:
     n = _require_n(args)
-    xs = [pinj.parse(t, n) for t in args.element]
-    if not xs:
+    if len(args.element) not in (1, 2):
         raise UsageError("give one element (inspect) or two (compose)")
+    xs = [pinj.parse(t, n) for t in args.element]
     if len(xs) == 1:
         x = xs[0]
         c = pinj.classify(x)
@@ -781,8 +781,9 @@ def cmd_witness(args, ctx) -> int:
         if len(args.element) != 1:
             raise UsageError("--idempotent takes exactly one element")
         x = pinj.parse(args.element[0], n)
-        eps = witnesses.commuting_idempotent(x)
-        print(pinj.format_element(eps))
+        eps = pinj.format_element(witnesses.commuting_idempotent(x))
+        _emit(args, {"element": pinj.format_element(x), "idempotent": eps},
+              [eps])
         return EXIT_PASS
     elif len(args.element) == 2:
         a, b = (pinj.parse(t, n) for t in args.element)

@@ -14,14 +14,19 @@ the naive route, and the two are cross-checked in the test suite.
 Centralizers of permutations admit direct enumeration without touching the
 ambient monoid: an element commuting with a permutation is determined by a
 length-preserving partial injection on its cycle set plus one rotation
-offset per mapped cycle.
+offset per mapped cycle.  They stream as int8 image-matrix chunks that
+decode each element from its index, with ``PInj`` objects as a view.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
+import numpy as np
+
+from ._bulk import row_element
 from .pinj import PInj, UNDEF, decompose
 
 __all__ = [
@@ -31,6 +36,7 @@ __all__ = [
     "centralizer",
     "centralizer_of_permutation",
     "iter_permutation_centralizer",
+    "iter_permutation_centralizer_chunks",
     "permutation_centralizer_order",
     "overlap_classes",
     "permutation_joint_centralizer",
@@ -175,45 +181,117 @@ def _cycle_classes(a: PInj) -> dict:
     return classes
 
 
-def iter_permutation_centralizer(a: PInj):
-    """Yield every element commuting with the permutation ``a``.
+_CENTRALIZER_CHUNK_ROWS = 1 << 14
+
+
+def _stratum_sizes(t: int, length: int) -> list:
+    """Options of a class of t cycles of one length that map exactly r
+    cycles, for r = 0..t: a domain subset, a target subset, a bijection
+    between them and one rotation offset per mapped cycle."""
+    return [math.comb(t, r) ** 2 * math.factorial(r) * length ** r
+            for r in range(t + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _stratum_tables(t: int, length: int, r: int) -> tuple:
+    """Option parts of the stratum mapping r of t cycles of one length L:
+    the subsets of r source cycles, the ordered r-tuples of target cycles
+    d as codes 1 + d·L, and the offset r-tuples in base L (digit i is the
+    offset of the i-th mapped cycle).  Each table has one row per part."""
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(t), r)),
+        np.int8, count=math.comb(t, r) * r).reshape(-1, r)
+    targets = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(t), r)),
+        np.int8, count=math.perm(t, r) * r).reshape(-1, r)
+    shifts = (np.arange(length ** r)[:, None] // length ** np.arange(r)
+              % length).astype(np.int8)
+    return subsets, 1 + length * targets, shifts
+
+
+def _class_choices(t: int, length: int, bounds: np.ndarray,
+                   k: np.ndarray) -> np.ndarray:
+    """Per source cycle of a class of t cycles of length L, the choice
+    made by each option in ``k``: 0 for unmapped, 1 + d·L + o for onto
+    target cycle d with offset o.
+
+    Options are ordered by the number r of mapped cycles, then by source
+    subset, ordered targets and offsets, the last varying fastest;
+    ``bounds`` holds the running totals of the stratum sizes.
+    """
+    strata = np.searchsorted(bounds, k, side="right")
+    lo, hi = int(strata.min()), int(strata.max())
+    choice = np.zeros((len(k), t), dtype=np.int8)
+    for r in range(max(lo, 1), hi + 1):
+        rows = np.flatnonzero(strata == r)
+        if not len(rows):
+            continue
+        subsets, targets, shifts = _stratum_tables(t, length, r)
+        rest, offs = np.divmod(k[rows] - bounds[r - 1], length ** r)
+        src, dst = np.divmod(rest, len(targets))
+        choice[rows[:, None], subsets[src]] = targets[dst] + shifts[offs]
+    return choice
+
+
+def iter_permutation_centralizer_chunks(a: PInj):
+    """Iterator of int8 image matrices, at most ``_CENTRALIZER_CHUNK_ROWS``
+    rows each, whose rows are every element commuting with the permutation
+    ``a`` once, with n marking points outside the domain.
 
     Choices factor over cycle-length classes: inside a class with t cycles
-    of length L, pick an injective partial map between cycles (domain
+    of length L, pick an injective partial map between cycles (source
     subset, ordered targets) and a rotation offset in range(L) per mapped
-    cycle.  The empty choice everywhere yields the zero map.
+    cycle; the j-th point of a source cycle goes to point j + offset
+    (mod L) of its target.  Element i of the stream is the tuple of
+    mixed-radix digits of i over the class option counts, the longest
+    cycles varying fastest.  Each chunk decodes its range of i by
+    broadcasting and builds a class's columns with one gather from its
+    table of rotated cycles, so no option list is ever built.  Bad
+    arguments raise ``ValueError`` here, before any row is built.
     """
-    classes = _cycle_classes(a)
-    per_class = []
-    for length in sorted(classes):
-        cyc = classes[length]
-        t = len(cyc)
-        options = []
-        for r in range(t + 1):
-            for dom_idx in itertools.combinations(range(t), r):
-                for tgt_idx in itertools.permutations(range(t), r):
-                    for offs in itertools.product(range(length), repeat=r):
-                        options.append((dom_idx, tgt_idx, offs))
-        per_class.append((cyc, options))
-    for combo in itertools.product(*(opts for _, opts in per_class)):
-        img = [UNDEF] * a.n
-        for (cyc, _), (dom_idx, tgt_idx, offs) in zip(per_class, combo):
-            for di, ti, off in zip(dom_idx, tgt_idx, offs):
-                src, tgt = cyc[di], cyc[ti]
-                k = len(src)
-                for i, x in enumerate(src):
-                    img[x] = tgt[(i + off) % k]
-        yield PInj(a.n, img)
+    total = permutation_centralizer_order(a)
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"a centralizer of order {total} is too large to"
+                         " stream")
+    n = a.n
+    classes = []
+    for length, cyc in sorted(_cycle_classes(a).items()):
+        cyc = np.array(cyc, dtype=np.int8)
+        turn = (np.arange(length)[:, None] + np.arange(length)) % length
+        # row 1 + d·L + o: cycle d rotated by o; row 0: outside the domain
+        rotated = np.vstack([np.full((1, length), n, np.int8),
+                             cyc[:, turn].reshape(-1, length)])
+        bounds = np.cumsum(_stratum_sizes(len(cyc), length))
+        classes.append((cyc.ravel().astype(np.intp), rotated, len(cyc),
+                        length, bounds))
+    return _centralizer_chunks(n, classes, total)
+
+
+def _centralizer_chunks(n, classes, total):
+    step = _CENTRALIZER_CHUNK_ROWS
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
+        out = np.empty((len(idx), n), dtype=np.int8)
+        for cols, rotated, t, length, bounds in reversed(classes):
+            idx, k = np.divmod(idx, bounds[-1])
+            choice = _class_choices(t, length, bounds, k)
+            out[:, cols] = rotated[choice].reshape(len(k), -1)
+        yield out
+
+
+def iter_permutation_centralizer(a: PInj):
+    """Yield every element commuting with the permutation ``a``: the
+    ``PInj`` view of ``iter_permutation_centralizer_chunks``.  The empty
+    choice everywhere yields the zero map."""
+    for m in iter_permutation_centralizer_chunks(a):
+        for row in m.tolist():
+            yield row_element(a.n, row)
 
 
 def permutation_centralizer_order(a: PInj) -> int:
     """Exact size of the centralizer of a permutation in the full monoid."""
-    total = 1
-    for length, cyc in _cycle_classes(a).items():
-        t = len(cyc)
-        total *= sum(math.comb(t, r) ** 2 * math.factorial(r) * length ** r
-                     for r in range(t + 1))
-    return total
+    return math.prod(sum(_stratum_sizes(len(cyc), length))
+                     for length, cyc in _cycle_classes(a).items())
 
 
 def centralizer_of_permutation(a: PInj):

@@ -18,11 +18,15 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._bulk import _commuting_rows, row_element
 from .commute import (
     CommuteChecker,
     commutes_naive,
     commutes_structural,
     iter_permutation_centralizer,
+    iter_permutation_centralizer_chunks,
     overlap_classes,
     permutation_centralizer_order,
     permutation_joint_centralizer,
@@ -66,6 +70,26 @@ def _commuting_pairs(xs, ys) -> int:
     """Number of pairs in ``xs`` x ``ys`` that commute, with one checker
     built per element of ``xs``."""
     return sum(chk.commutes(y) for chk in map(CommuteChecker, xs) for y in ys)
+
+
+def _centralizer_meet(x: PInj, y: PInj):
+    """(elements of the centralizer of the permutation ``x`` that commute
+    with ``y``, number of centralizer rows streamed).
+
+    Each chunk of the stream is tested at once: ``y``'s row is stacked on
+    top and compared against every row, and only the rows that commute
+    become ``PInj`` objects.
+    """
+    n = x.n
+    head = np.array([[n if v == UNDEF else v for v in y.img]], dtype=np.int8)
+    survivors, streamed = [], 0
+    for chunk in iter_permutation_centralizer_chunks(x):
+        m = np.concatenate([head, chunk])
+        aug = np.concatenate([m, np.full((len(m), 1), n, np.int8)], axis=1)
+        hit = _commuting_rows(m, aug, np.zeros(1, np.intp))[0, 1:]
+        survivors += [row_element(n, row) for row in chunk[hit].tolist()]
+        streamed += len(chunk)
+    return survivors, streamed
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -481,21 +505,15 @@ def verify_distance5(n: int, pair=None) -> Distance5Report:
 
     cz_order = permutation_centralizer_order(delta)
     if cz_order <= _STREAM_LIMIT:
-        chk = CommuteChecker(eta)
-        streamed = {g for g in iter_permutation_centralizer(delta)
-                    if chk.commutes(g)}
+        streamed, rows = _centralizer_meet(delta, eta)
         checks.append(("streaming the full centralizer agrees with the"
-                       " propagated joint centralizer", streamed == joint,
-                       f"{cz_order} candidates"))
+                       " propagated joint centralizer",
+                       set(streamed) == joint and rows == cz_order,
+                       f"{rows} of {cz_order} candidates streamed"))
 
     if n == 9:
-        ok = True
-        for pa in apow:
-            for pb in bpow:
-                chk = CommuteChecker(pb)
-                inter = {g for g in iter_permutation_centralizer(pa)
-                         if chk.commutes(g)}
-                ok = ok and inter == {zero, ident}
+        ok = all(set(_centralizer_meet(pa, pb)[0]) == {zero, ident}
+                 for pa in apow for pb in bpow)
         checks.append(("every power-pair centralizer intersection is"
                        " trivial", ok, "64 pairs"))
 
@@ -634,14 +652,13 @@ def dolzan_distance_check(n: int = 10) -> SymGapReport:
     for dm in _proper_divisors(n):
         ga = apow[dm - 1]
         for dk in _proper_divisors(n - 1):
-            gb = bpow[dk - 1]
-            chk = CommuteChecker(gb)
-            survivors = [g for g in iter_permutation_centralizer(ga)
-                         if g.is_permutation() and chk.commutes(g)]
+            meet, rows = _centralizer_meet(ga, bpow[dk - 1])
+            survivors = [g for g in meet if g.is_permutation()]
+            order = permutation_centralizer_order(ga)
             checks.append((f"only the identity centralizes both the"
                            f" {dm}-th and the {dk}-th power joins",
-                           survivors == [ident],
-                           f"{permutation_centralizer_order(ga)} candidates"))
+                           survivors == [ident] and rows == order,
+                           f"{rows} of {order} candidates streamed"))
     return SymGapReport(n, (alpha, beta), tuple(checks))
 
 

@@ -5,11 +5,12 @@ BFS, Bron-Kerbosch cliques.  Slow but obviously correct on small ground
 sets, which is the point.
 """
 
+import itertools
 from collections import deque
 
 import numpy as np
 
-from invsemi.pinj import PInj, UNDEF
+from invsemi.pinj import PInj, UNDEF, decompose
 
 
 def oracle_compose(a: PInj, b: PInj) -> PInj:
@@ -60,6 +61,37 @@ def dense_adjacency_packed(mat, rows=None, block=256):
         out[s:s + len(blk), :big_n] = eq
     packed = np.packbits(out, axis=1, bitorder="little")
     return packed.view("<u8").astype(np.uint64).reshape(len(rows), words)
+
+
+def oracle_permutation_centralizer(a: PInj):
+    """Every element commuting with the permutation ``a``, from option
+    lists: per cycle-length class with t cycles of length L, every
+    injective partial map between cycles (domain subset, ordered targets)
+    with one rotation offset in range(L) per mapped cycle, combined over
+    the classes by an itertools product."""
+    classes = {}
+    for c in decompose(a).cycles:
+        classes.setdefault(len(c), []).append(c)
+    per_class = []
+    for length in sorted(classes):
+        cyc = classes[length]
+        t = len(cyc)
+        options = []
+        for r in range(t + 1):
+            for dom_idx in itertools.combinations(range(t), r):
+                for tgt_idx in itertools.permutations(range(t), r):
+                    for offs in itertools.product(range(length), repeat=r):
+                        options.append((dom_idx, tgt_idx, offs))
+        per_class.append((cyc, options))
+    for combo in itertools.product(*(opts for _, opts in per_class)):
+        img = [UNDEF] * a.n
+        for (cyc, _), (dom_idx, tgt_idx, offs) in zip(per_class, combo):
+            for di, ti, off in zip(dom_idx, tgt_idx, offs):
+                src, tgt = cyc[di], cyc[ti]
+                k = len(src)
+                for i, x in enumerate(src):
+                    img[x] = tgt[(i + off) % k]
+        yield PInj(a.n, img)
 
 
 def brute_distance(adj, s, t):

@@ -201,6 +201,14 @@ def test_elem_compose(capsys):
     assert d["commute"] is False
 
 
+def test_elem_rejects_three_elements(capsys):
+    code, out, err = run_main(capsys, ["elem", "--n", "4", "(1 2)", "(1 3)",
+                                       "(1 4)"])
+    assert code == 2 and out == ""
+    assert "give one element (inspect) or two (compose)" in err
+    assert "unpack" not in err
+
+
 def test_centralizer_full_cycle(capsys):
     code, out, _ = run_main(capsys, ["centralizer", "--n", "4", "(1 2 3 4)",
                                      "--json", "--list"])
@@ -343,6 +351,13 @@ def test_witness_path_and_idempotent(capsys):
                                      "(1 2)"])
     assert code == 0
     assert out.strip() == "(1)|(2)"
+
+
+def test_witness_idempotent_json(capsys):
+    code, out, _ = run_main(capsys, ["witness", "--n", "4", "--idempotent",
+                                     "(1 2)", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"element": "(1 2)", "idempotent": "(1)|(2)"}
 
 
 def test_search_open_command(capsys):

@@ -1,7 +1,10 @@
+import functools
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,13 +12,16 @@ from invsemi import commute
 from invsemi.commute import (CommuteChecker, centralizer,
                              centralizer_of_permutation, commutes_naive,
                              commutes_structural,
-                             iter_permutation_centralizer, overlap_classes,
+                             iter_permutation_centralizer,
+                             iter_permutation_centralizer_chunks,
+                             overlap_classes,
                              permutation_centralizer_order,
                              permutation_joint_centralizer)
 from invsemi.pinj import (PInj, UNDEF, element_from_id, monoid_order, power,
                           join)
+from invsemi.witnesses import prime_power_pair
 
-from helpers import oracle_commutes
+from helpers import oracle_commutes, oracle_permutation_centralizer
 
 
 def all_elements(n):
@@ -138,6 +144,90 @@ def test_permutation_stream_matches_brute():
             assert len(stream) == len(set(stream))
             assert set(stream) == brute
             assert permutation_centralizer_order(a) == len(brute)
+
+
+def partitions(n, most=None):
+    """Integer partitions of n into parts of at most ``most``, largest
+    part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def permutation_of_type(lengths):
+    """A permutation with the given cycle lengths on shuffled points."""
+    n = sum(lengths)
+    points = list(range(n))
+    random.Random(n * 1000 + len(lengths)).shuffle(points)
+    cycles, pos = [], 0
+    for length in lengths:
+        cycles.append(tuple(points[pos:pos + length]))
+        pos += length
+    return join(n, cycles=tuple(cycles))
+
+
+STREAM_CASES = [permutation_of_type(p) for n in range(1, 8)
+                for p in partitions(n)]
+STREAM_CASES.append(power(prime_power_pair(3, 2)[0], 3))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_rows(a):
+    return frozenset(tuple(a.n if v == UNDEF else v for v in g.img)
+                     for g in oracle_permutation_centralizer(a))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, None])
+def test_chunk_stream_matches_oracle(chunk_rows, monkeypatch):
+    # one permutation of every cycle type on at most 7 points, and the
+    # cube of the 9-cycle of the distance-five pair (three 3-cycles); one
+    # row per chunk only where the centralizer is small
+    assert len(STREAM_CASES) == 15 + 11 + 7 + 5 + 3 + 2 + 1 + 1
+    if chunk_rows is not None:
+        monkeypatch.setattr(commute, "_CENTRALIZER_CHUNK_ROWS", chunk_rows)
+    limit = commute._CENTRALIZER_CHUNK_ROWS
+    cases = [a for a in STREAM_CASES
+             if chunk_rows != 1 or permutation_centralizer_order(a) <= 5000]
+    assert len(cases) > (30 if chunk_rows == 1 else 40)
+    for a in cases:
+        chunks = list(iter_permutation_centralizer_chunks(a))
+        assert all(0 < len(m) <= limit for m in chunks)
+        assert all(m.dtype == np.int8 and m.shape[1] == a.n for m in chunks)
+        rows = list(map(tuple, np.concatenate(chunks).tolist()))
+        assert len(rows) == permutation_centralizer_order(a)
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == oracle_rows(a)
+    assert permutation_centralizer_order(PInj.identity(7)) == 130_922
+
+
+def test_chunk_stream_memory_is_bounded(monkeypatch):
+    # the 8th power of the 16-cycle: eight 2-cycles, one class whose option
+    # list alone would take gigabytes
+    monkeypatch.setattr(commute, "_CENTRALIZER_CHUNK_ROWS", 64)
+    a = power(PInj.cycle(16, range(16)), 8)
+    assert permutation_centralizer_order(a) == 101_817_089
+    tracemalloc.start()
+    try:
+        stream = iter_permutation_centralizer_chunks(a)
+        first = next(stream)
+        more = [next(stream) for _ in range(50)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.shape == (64, 16)
+    assert all(len(m) == 64 for m in more)
+    assert peak < 2 << 20
+    stream.close()
+
+
+def test_chunk_stream_rejections():
+    with pytest.raises(ValueError):
+        iter_permutation_centralizer_chunks(PInj.chain(4, (0, 1)))
+    with pytest.raises(ValueError):
+        iter_permutation_centralizer_chunks(PInj.identity(32))
 
 
 def test_permutation_order_formula_n5():

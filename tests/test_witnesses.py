@@ -9,7 +9,8 @@ from invsemi import commute, graph as gm, witnesses as wit
 from invsemi.pinj import (PInj, UNDEF, classify, decompose, element_from_id,
                           format_element, join, monoid_order, parse, power)
 
-from helpers import perfect_matchings
+from helpers import (oracle_commutes, oracle_permutation_centralizer,
+                     perfect_matchings)
 
 
 def noncentral_elements(n):
@@ -230,6 +231,28 @@ def test_prime_power_pair():
 # -- distance-five certification ---------------------------------------------------
 
 
+def test_centralizer_meet_matches_oracle():
+    # every permutation of 5 points against random elements of I(5),
+    # partial ones included, and the cube of a 9-cycle against the other
+    # cycle's cube
+    rng = random.Random(5)
+    pairs = [(x, element_from_id(5, rng.randrange(monoid_order(5))))
+             for x in noncentral_elements(5) if x.is_permutation()]
+    alpha, beta = wit.prime_power_pair(3, 2)
+    pairs.append((power(alpha, 3), power(beta, 3)))
+    pairs.append((power(alpha, 3), PInj.chain(9, (0, 1, 2))))
+    hits = 0
+    for x, y in pairs:
+        survivors, rows = wit._centralizer_meet(x, y)
+        expect = [g for g in oracle_permutation_centralizer(x)
+                  if oracle_commutes(g, y)]
+        assert len(survivors) == len(set(survivors))
+        assert set(survivors) == set(expect)
+        assert rows == commute.permutation_centralizer_order(x)
+        hits += len(survivors) > 1
+    assert hits > 20
+
+
 def test_verify_distance5_nine_points():
     rep = wit.verify_distance5(9)
     assert rep.passed and rep.distance == 5
@@ -240,6 +263,38 @@ def test_verify_distance5_nine_points():
     assert rep.path.vertices[0] == rep.alpha
     assert rep.path.vertices[-1] == rep.beta
     rep.path.validate(excluded=(PInj.zero(9), PInj.identity(9)))
+
+
+def lossy_stream(monkeypatch):
+    # a stream that loses the last row of every chunk
+    real = wit.iter_permutation_centralizer_chunks
+
+    def lossy(a):
+        for m in real(a):
+            yield m[:-1]
+
+    monkeypatch.setattr(wit, "iter_permutation_centralizer_chunks", lossy)
+
+
+def test_verify_distance5_counts_streamed_rows(monkeypatch):
+    # a lossy stream still finds the joint centralizer, so only the row
+    # count can catch it
+    lossy_stream(monkeypatch)
+    rep = wit.verify_distance5(9)
+    label, ok, detail = next(c for c in rep.checks
+                             if c[0].startswith("streaming the full"))
+    assert not ok and not rep.passed
+    assert detail == "351 of 352 candidates streamed"
+
+
+def test_dolzan_distance_check_counts_streamed_rows(monkeypatch):
+    lossy_stream(monkeypatch)
+    rep = wit.dolzan_distance_check(10)
+    streamed = [c for c in rep.checks if c[0].startswith("only the identity")]
+    assert streamed and not rep.passed
+    for label, ok, detail in streamed:
+        rows, order = map(int, detail.split(" candidates")[0].split(" of "))
+        assert not ok and rows < order
 
 
 def test_verify_distance5_rejections():
