@@ -41,6 +41,7 @@ GRAPH_NS = range(7)      # graph materialization, general centralizers
 GRAPH_SUITE_NS = range(3, GRAPH_NS.stop)  # the diameter and pair suites
 CLIQUE_NS = range(5)     # max-clique uniqueness enumeration
 DISTANCE5_NS = (9, 25, 27)
+CENTRALIZER_LIST_CAP = 100_000  # centralizer --list, in elements
 
 
 class UsageError(Exception):
@@ -149,6 +150,10 @@ class CliContext:
         raise UsageError(f"{what} is guarded to {span}; --force lifts the"
                          " guard")
 
+    @property
+    def vertex_cap(self) -> int:
+        return (1 << 40) if self.force else graphmod.VERTEX_CAP
+
     def graph(self, n: int, max_rank: int | None = None
               ) -> graphmod.CommutingGraph:
         """Commuting graph of I(n) minus its center; with ``max_rank`` r,
@@ -171,13 +176,14 @@ class CliContext:
                                  " rerun with --force to rebuild it") from None
         else:
             self.guard("graph materialization", n, GRAPH_NS)
-            cap = (1 << 40) if self.force else graphmod.VERTEX_CAP
             if max_rank is None:
-                g = graphmod.build_graph(n, center="monoid", vertex_cap=cap)
+                g = graphmod.build_graph(n, center="monoid",
+                                         vertex_cap=self.vertex_cap)
             else:
                 g = graphmod.build_graph(
                     n, max_rank=max_rank, center="ideal",
-                    label=f"rank{max_rank}-ideal-n{n}", vertex_cap=cap)
+                    label=f"rank{max_rank}-ideal-n{n}",
+                    vertex_cap=self.vertex_cap)
             if path is not None:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 graphmod.save_packed(g, path)
@@ -688,6 +694,11 @@ def cmd_centralizer(args, ctx) -> int:
         order = commute.permutation_centralizer_order(x)
         elems = None
         if args.list:
+            if order > CENTRALIZER_LIST_CAP and not ctx.force:
+                raise UsageError(
+                    f"listing a centralizer of order {order} is guarded to"
+                    f" {CENTRALIZER_LIST_CAP} elements; --force lifts the"
+                    " guard")
             elems = list(commute.iter_permutation_centralizer(x))
             if len(elems) != order:
                 raise AssertionError("stream disagrees with the counting"
@@ -717,7 +728,8 @@ def cmd_graph(args, ctx) -> int:
     else:
         center = {"nilpotent": "ideal", "idempotent": "monoid",
                   "permutation": "group"}[args.filter]
-        g = graphmod.build_graph(n, filt=args.filter, center=center)
+        g = graphmod.build_graph(n, filt=args.filter, center=center,
+                                 vertex_cap=ctx.vertex_cap)
     info = {"label": g.label, "n": n, "vertices": g.num_vertices,
             "edges": g.num_edges()}
     if g.num_vertices:

@@ -16,6 +16,9 @@ ambient monoid: an element commuting with a permutation is determined by a
 length-preserving partial injection on its cycle set plus one rotation
 offset per mapped cycle.  They stream as int8 image-matrix chunks that
 decode each element from its index, with ``PInj`` objects as a view.
+The joint centralizer of two permutations generating a transitive group
+needs no stream: a commuting element is fixed by the image of one point,
+so one Schreier tree of the group yields every candidate.
 """
 
 from __future__ import annotations
@@ -309,87 +312,66 @@ def centralizer_of_permutation(a: PInj):
 # -- joint centralizers of two permutations ----------------------------------
 
 
+def _orbit(d: PInj, e: PInj, x0: int):
+    """(the orbit of x0 under the group the permutations d and e generate,
+    in breadth-first order; the edges (x, g, y) of its Schreier tree,
+    where y is the image of x under d for g = 0 and under e for g = 1)."""
+    if d.n != e.n or not (d.is_permutation() and e.is_permutation()):
+        raise ValueError("need two permutations of one ground set")
+    order, tree, seen = [x0], [], {x0}
+    for x in order:
+        for g, img in enumerate((d.img, e.img)):
+            y = img[x]
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                tree.append((x, g, y))
+    return order, tree
+
+
 def overlap_classes(d: PInj, e: PInj) -> list:
-    """Classes of the transitive closure of 'same cycle of d or of e'."""
-    n = d.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for perm in (d, e):
-        for c in decompose(perm).cycles:
-            for x in c[1:]:
-                union(c[0], x)
-    groups: dict = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return [frozenset(g) for g in groups.values()]
+    """Classes of the transitive closure of 'same cycle of d or of e' for
+    two permutations: the orbits of the group they generate."""
+    classes, seen = [], set()
+    for x in range(d.n):
+        if x not in seen:
+            orbit = frozenset(_orbit(d, e, x)[0])
+            seen |= orbit
+            classes.append(orbit)
+    return classes
 
 
 def permutation_joint_centralizer(d: PInj, e: PInj) -> list:
-    """All elements commuting with both permutations ``d`` and ``e``,
-    by constraint propagation.
+    """All elements commuting with both permutations ``d`` and ``e``.
 
-    Requires the cycle-overlap closure to be a single class covering the
-    ground set; then any nonzero commuting element is total and determined
-    by the image of point 0, so at most n+1 elements survive.
+    Requires the group ⟨d, e⟩ to be transitive, i.e. the cycle-overlap
+    closure to be a single class covering the ground set.  Then a nonzero
+    commuting element is a permutation fixed by the image y of point 0
+    (Dixon & Mortimer, *Permutation Groups*, Thm 4.2A): one breadth-first
+    search of ⟨d, e⟩ from 0 gives a Schreier tree, and c(g(x)) = g(c(x))
+    along its edges builds the only candidate c_y for every y at once, one
+    gather per edge.  A total map commuting with a transitive group is
+    onto, so the candidates that commute with d and e on every point are
+    permutations; each becomes a ``PInj``, which rejects a table that is
+    not injective, and is re-checked by a ``CommuteChecker`` of both.
+    With the zero map, at most n+1 elements result.
     """
     n = d.n
-    classes = overlap_classes(d, e)
-    if len(classes) != 1:
+    order, tree = _orbit(d, e, 0) if n else ([], [])
+    if not n or len(order) != n:
         raise ValueError("overlap closure is not a single class")
-    cycles = {}
-    for perm in (d, e):
-        dec = decompose(perm)
-        loc = [None] * n
-        for ci, c in enumerate(dec.cycles):
-            for i, x in enumerate(c):
-                loc[x] = (ci, i)
-        cycles[id(perm)] = (dec.cycles, loc)
-
+    gens = gd, ge = np.array([d.img, e.img], dtype=np.intp)
+    # images[x, y] = c_y(x), where c_y is the candidate sending 0 to y
+    images = np.empty((n, n), dtype=np.intp)
+    images[0] = np.arange(n)
+    for x, g, y in tree:
+        images[y] = gens[g][images[x]]
+    ok = ((images[gd] == gd[images])
+          & (images[ge] == ge[images])).all(axis=0)
     chk_d, chk_e = CommuteChecker(d), CommuteChecker(e)
     out = [PInj.zero(n)]
-    for v0 in range(n):
-        img = [UNDEF] * n
-        img[0] = v0
-        stack = [0]
-        ok = True
-        while stack and ok:
-            x = stack.pop()
-            for perm in (d, e):
-                parts, loc = cycles[id(perm)]
-                ci, i = loc[x]
-                cj, j = loc[img[x]]
-                src, tgt = parts[ci], parts[cj]
-                if len(src) != len(tgt):
-                    ok = False
-                    break
-                k = len(src)
-                for s in range(1, k):
-                    xx = src[(i + s) % k]
-                    yy = tgt[(j + s) % k]
-                    if img[xx] == UNDEF:
-                        img[xx] = yy
-                        stack.append(xx)
-                    elif img[xx] != yy:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok or UNDEF in img:
-            continue
-        if len(set(img)) != n:
-            continue
-        cand = PInj(n, img)
-        if chk_d.commutes(cand) and chk_e.commutes(cand):
-            out.append(cand)
+    for row in images[:, ok].T.tolist():
+        c = PInj(n, row)
+        if chk_d.commutes(c) and chk_e.commutes(c):
+            out.append(c)
     return out

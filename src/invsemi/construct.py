@@ -269,15 +269,17 @@ def closure(seed, n=None, max_size: int = 1_000_000) -> SemigroupSet:
     have = set(seed)
     frontier = list(have)
     while frontier:
+        # every product with a factor in the frontier, each pair once
+        factors, older = list(have), have.difference(frontier)
         fresh = []
-        for a in frontier:
-            for b in list(have):
-                for c in (compose(a, b), compose(b, a)):
-                    if c not in have:
-                        have.add(c)
-                        fresh.append(c)
-                        if len(have) > max_size:
-                            raise RuntimeError("closure exceeded max_size")
+        for c in itertools.chain(
+                (compose(a, b) for a in frontier for b in factors),
+                (compose(b, a) for b in older for a in frontier)):
+            if c not in have:
+                have.add(c)
+                fresh.append(c)
+                if len(have) > max_size:
+                    raise RuntimeError("closure exceeded max_size")
         frontier = fresh
     return SemigroupSet.from_elements(n, have)
 

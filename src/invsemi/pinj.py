@@ -23,6 +23,7 @@ subset (lexicographic), then image subset, then the bijection between them
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -257,8 +258,9 @@ class CycleChainDecomp:
         return tuple(sorted(pts))
 
 
+@functools.lru_cache(maxsize=256)
 def decompose(a: PInj) -> CycleChainDecomp:
-    """Split ``a`` into its cycles and chains.
+    """Split ``a`` into its cycles and chains, caching the last 256.
 
     >>> d = decompose(parse("(2 1)|[4 3]", 4))
     >>> d.cycles, d.chains

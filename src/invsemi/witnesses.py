@@ -464,8 +464,9 @@ def verify_distance5(n: int, pair=None) -> Distance5Report:
     neighborhoods are their proper powers (verified by enumeration); no
     power pair commutes (verified on the whole (n-1) x (n-1) grid); and
     any interior vertex of a length-4 path would commute with both
-    q-th powers, whose joint centralizer is trivial (verified by
-    constraint propagation, cross-checked by streaming when feasible).
+    q-th powers, whose joint centralizer is trivial (verified on a
+    Schreier tree of the group they generate, cross-checked by streaming
+    when feasible).
     Upper bound: an explicit length-5 route.
     """
     p, k = _factor_odd_prime_power(n)
@@ -507,7 +508,7 @@ def verify_distance5(n: int, pair=None) -> Distance5Report:
     if cz_order <= _STREAM_LIMIT:
         streamed, rows = _centralizer_meet(delta, eta)
         checks.append(("streaming the full centralizer agrees with the"
-                       " propagated joint centralizer",
+                       " Schreier-tree joint centralizer",
                        set(streamed) == joint and rows == cz_order,
                        f"{rows} of {cz_order} candidates streamed"))
 
@@ -681,7 +682,9 @@ class SearchReport:
 def _full_cycle_pair_distance(a: PInj, b: PInj):
     """Exact commuting-graph distance between two full cycles, decided
     without materializing the graph: neighborhoods are power groups, so
-    short paths reduce to divisor-power centralizer questions."""
+    short paths reduce to divisor-power centralizer questions.  A power
+    a^s and a^gcd(s, n) are powers of each other, so after the shared
+    power test only a^d for d = 1 or a proper divisor of n matters."""
     n = a.n
     if a == b:
         return 0
@@ -691,16 +694,15 @@ def _full_cycle_pair_distance(a: PInj, b: PInj):
     bpow = [power(b, t) for t in range(1, n)]
     if (set(apow) & set(bpow)) - {PInj.identity(n)}:
         return 2
-    if _commuting_pairs(apow, bpow):
+    divisors = [1] + _proper_divisors(n)
+    adiv = [apow[d - 1] for d in divisors]
+    bdiv = [bpow[d - 1] for d in divisors]
+    if _commuting_pairs(adiv, bdiv):
         return 3
-    for dm in _proper_divisors(n):
-        ga = apow[dm - 1]
-        for dk in _proper_divisors(n):
-            gb = bpow[dk - 1]
-            if len(overlap_classes(ga, gb)) > 1:
-                return 4
-            joint = permutation_joint_centralizer(ga, gb)
-            if len(joint) > 2:
+    for ga in adiv[1:]:
+        for gb in bdiv[1:]:
+            if (len(overlap_classes(ga, gb)) > 1
+                    or len(permutation_joint_centralizer(ga, gb)) > 2):
                 return 4
     if _smallest_prime_factor(n) == n:
         return math.inf

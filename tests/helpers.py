@@ -94,6 +94,114 @@ def oracle_permutation_centralizer(a: PInj):
         yield PInj(a.n, img)
 
 
+def oracle_overlap_classes(d: PInj, e: PInj) -> set:
+    """Classes of the transitive closure of 'same cycle of d or of e', by
+    union-find over the cycles of both."""
+    parent = list(range(d.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for perm in (d, e):
+        for c in decompose(perm).cycles:
+            for x in c[1:]:
+                parent[find(x)] = find(c[0])
+    groups = {}
+    for x in range(d.n):
+        groups.setdefault(find(x), set()).add(x)
+    return {frozenset(g) for g in groups.values()}
+
+
+def oracle_joint_centralizer(d: PInj, e: PInj) -> list:
+    """Every element commuting with both permutations ``d`` and ``e``, by
+    constraint propagation: for each image v0 of point 0, carry each cycle
+    of d and of e through a point of known image onto the cycle of that
+    image, and keep the consistent, total, injective results that commute
+    with both.  Needs a single overlap class covering the ground set."""
+    n = d.n
+    if len(oracle_overlap_classes(d, e)) != 1:
+        raise ValueError("overlap closure is not a single class")
+    cycles = []
+    for perm in (d, e):
+        dec = decompose(perm)
+        loc = [None] * n
+        for ci, c in enumerate(dec.cycles):
+            for i, x in enumerate(c):
+                loc[x] = (ci, i)
+        cycles.append((dec.cycles, loc))
+    out = [PInj.zero(n)]
+    for v0 in range(n):
+        img = [UNDEF] * n
+        img[0] = v0
+        stack = [0]
+        ok = True
+        while stack and ok:
+            x = stack.pop()
+            for parts, loc in cycles:
+                ci, i = loc[x]
+                cj, j = loc[img[x]]
+                src, tgt = parts[ci], parts[cj]
+                if len(src) != len(tgt):
+                    ok = False
+                    break
+                k = len(src)
+                for s in range(1, k):
+                    xx = src[(i + s) % k]
+                    yy = tgt[(j + s) % k]
+                    if img[xx] == UNDEF:
+                        img[xx] = yy
+                        stack.append(xx)
+                    elif img[xx] != yy:
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if not ok or UNDEF in img or len(set(img)) != n:
+            continue
+        cand = PInj(n, img)
+        if oracle_commutes(d, cand) and oracle_commutes(e, cand):
+            out.append(cand)
+    return out
+
+
+def oracle_full_cycle_distance(a: PInj, b: PInj):
+    """Commuting-graph distance of two full cycles on a composite number
+    of points, from the whole (n-1) x (n-1) grid of power pairs: 2 for a
+    shared power, 3 for a commuting power pair, 4 when some pair of proper
+    divisor powers has a joint centralizer beyond zero and the identity
+    (or more than one overlap class, whose partial identities commute
+    with both), and 5 otherwise."""
+    n = a.n
+    if a == b:
+        return 0
+    if oracle_commutes(a, b):
+        return 1
+
+    def powers(c):
+        out = [c]
+        while len(out) < n - 1:
+            out.append(oracle_compose(out[-1], c))
+        return out
+
+    apow, bpow = powers(a), powers(b)
+    if set(apow) & set(bpow):
+        return 2
+    if any(oracle_commutes(x, y) for x in apow for y in bpow):
+        return 3
+    divisors = [m for m in range(2, n) if n % m == 0]
+    for dm in divisors:
+        for dk in divisors:
+            try:
+                joint = oracle_joint_centralizer(apow[dm - 1], bpow[dk - 1])
+            except ValueError:
+                return 4
+            if len(joint) > 2:
+                return 4
+    return 5
+
+
 def brute_distance(adj, s, t):
     if s == t:
         return 0

@@ -219,6 +219,17 @@ def test_centralizer_full_cycle(capsys):
     assert "0" in d["elements"] and "id" in d["elements"]
 
 
+def test_centralizer_list_guard(capsys):
+    # order 101,817,089: refused before any element is built
+    join16 = "|".join(f"({i} {i + 8})" for i in range(1, 9))
+    code, out, err = run_main(capsys, ["centralizer", "--n", "16", join16,
+                                       "--list"])
+    assert code == 2 and out == ""
+    assert "101817089" in err and "--force" in err
+    code, out, _ = run_main(capsys, ["centralizer", "--n", "16", join16])
+    assert code == 0 and "101817089" in out
+
+
 def test_centralizer_general_element(capsys):
     code, out, _ = run_main(capsys, ["centralizer", "--n", "3", "[1 2]",
                                      "--json"])
@@ -250,6 +261,15 @@ def test_graph_filters(capsys):
                                      "permutation", "--json"])
     assert code == 0
     assert json.loads(out)["vertices"] == 23
+
+
+def test_graph_filter_cap_and_force(capsys, monkeypatch):
+    monkeypatch.setattr(gm, "VERTEX_CAP", 10)
+    argv = ["graph", "--n", "4", "--filter", "nilpotent", "--json"]
+    code, _, err = run_main(capsys, argv)
+    assert code == 2 and "exceeds cap 10" in err
+    code, out, _ = run_main(capsys, argv + ["--force"])
+    assert code == 0 and json.loads(out)["vertices"] == 72
 
 
 def test_graph_ideal(capsys):

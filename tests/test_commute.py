@@ -17,11 +17,12 @@ from invsemi.commute import (CommuteChecker, centralizer,
                              overlap_classes,
                              permutation_centralizer_order,
                              permutation_joint_centralizer)
-from invsemi.pinj import (PInj, UNDEF, element_from_id, monoid_order, power,
-                          join)
-from invsemi.witnesses import prime_power_pair
+from invsemi.pinj import (PInj, UNDEF, element_from_id, monoid_order, parse,
+                          power, join)
+from invsemi.witnesses import _proper_divisors, prime_power_pair
 
-from helpers import oracle_commutes, oracle_permutation_centralizer
+from helpers import (oracle_commutes, oracle_joint_centralizer,
+                     oracle_overlap_classes, oracle_permutation_centralizer)
 
 
 def all_elements(n):
@@ -280,3 +281,82 @@ def test_joint_centralizer_nonzero_elements_are_total():
     assert len(overlap_classes(a, b)) == 1
     for c in permutation_joint_centralizer(a, b):
         assert c.is_zero() or c.is_permutation()
+
+
+def test_joint_centralizer_rejects_non_permutations():
+    cycle = PInj.cycle(4, range(4))
+    for d, e in ((parse("[1 2 3]", 4), cycle), (cycle, parse("(1 2 3)", 4)),
+                 (cycle, PInj.cycle(5, range(5)))):
+        with pytest.raises(ValueError):
+            permutation_joint_centralizer(d, e)
+        with pytest.raises(ValueError):
+            overlap_classes(d, e)
+
+
+def _regular_pair(rng, a, b):
+    """Generators (+1, 0) and (0, +1) of the regular action of Z_a x Z_b
+    on a*b points, relabelled at random: a transitive pair whose joint
+    centralizer is the whole group, so it has a*b + 1 elements."""
+    n = a * b
+    label = rng.sample(range(n), n)
+
+    def shift(di, dj):
+        img = [0] * n
+        for i in range(a):
+            for j in range(b):
+                img[label[i * b + j]] = label[(i + di) % a * b + (j + dj) % b]
+        return PInj(n, img)
+
+    return shift(1, 0), shift(0, 1)
+
+
+@pytest.mark.parametrize("n", range(6, 16))
+def test_joint_centralizer_matches_oracle(n):
+    rng = random.Random(n)
+    pairs = []
+    while len(pairs) < 20:
+        d, e = (PInj(n, rng.sample(range(n), n)) for _ in range(2))
+        classes = overlap_classes(d, e)
+        assert len(classes) == len(set(classes))
+        assert set(classes) == oracle_overlap_classes(d, e)
+        if len(classes) == 1:
+            pairs.append((d, e))
+        else:
+            with pytest.raises(ValueError):
+                permutation_joint_centralizer(d, e)
+    for k in range(1, n):
+        # permutations that each keep both blocks of a random split
+        pts = rng.sample(range(n), n)
+        d, e = (PInj.from_dict(n, {x: y for block in (pts[:k], pts[k:])
+                                   for x, y in zip(block, rng.sample(
+                                       block, len(block)))})
+                for _ in range(2))
+        classes = overlap_classes(d, e)
+        assert len(classes) >= 2
+        assert set(classes) == oracle_overlap_classes(d, e)
+        with pytest.raises(ValueError):
+            permutation_joint_centralizer(d, e)
+    regular = [_regular_pair(rng, a, n // a)
+               for a in range(2, n) if n % a == 0]
+    for d, e in pairs + regular:
+        got = permutation_joint_centralizer(d, e)
+        assert len(got) == len(set(got))
+        assert set(got) == set(oracle_joint_centralizer(d, e))
+        assert len(got) == n + 1 or (d, e) not in regular
+
+
+@pytest.mark.parametrize("n", [15, 21])
+def test_joint_centralizer_divisor_powers_match_oracle(n):
+    rng = random.Random(n)
+    for _ in range(50):
+        a, b = (PInj.cycle(n, rng.sample(range(n), n)) for _ in range(2))
+        for dm in _proper_divisors(n):
+            for dk in _proper_divisors(n):
+                ga, gb = power(a, dm), power(b, dk)
+                try:
+                    want = set(oracle_joint_centralizer(ga, gb))
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        permutation_joint_centralizer(ga, gb)
+                    continue
+                assert set(permutation_joint_centralizer(ga, gb)) == want

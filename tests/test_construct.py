@@ -144,6 +144,31 @@ def test_closure_reaches_fixed_point():
     assert set(closure(skl.elements).elements) == set(skl.elements)
 
 
+def test_closure_matches_pairwise_fixed_point(monkeypatch):
+    # against a loop that multiplies every ordered pair until nothing new
+    # appears; the seed's first round forms each ordered pair once
+    calls = []
+    real = construct.compose
+    monkeypatch.setattr(construct, "compose",
+                        lambda a, b: calls.append(1) or real(a, b))
+    seeds = ([PInj.cycle(4, (0, 1, 2)), PInj.chain(4, (1, 3))],
+             [PInj.chain(5, range(5)), PInj.cycle(5, (0, 2)),
+              PInj.chain(5, (4, 1))],
+             list(null_semigroup((0, 1), (2, 3)).elements))
+    for seed in seeds:
+        want = set(seed)
+        while True:
+            more = want | {real(a, b) for a in want for b in want}
+            if more == want:
+                break
+            want = more
+        calls.clear()
+        got = closure(seed)
+        assert set(got.elements) == want
+        if want == set(seed):
+            assert len(calls) == len(want) ** 2
+
+
 def test_closure_size_guard():
     gens = [PInj.cycle(5, range(5)), PInj.chain(5, range(5))]
     with pytest.raises(RuntimeError):

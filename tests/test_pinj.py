@@ -147,6 +147,20 @@ def test_decompose_canonical_under_part_shuffle():
         assert d2.cycles == d.cycles and d2.chains == d.chains
 
 
+def test_decompose_cache_keys_on_value():
+    # equal elements built apart share one cached result, which matches a
+    # fresh decomposition even after more elements than the cache holds
+    rng = random.Random(7)
+    elems = all_elements(4) + [element_from_id(7, rng.randrange(
+        monoid_order(7))) for _ in range(400)]
+    for e in elems + elems[::-1]:
+        twin = PInj(e.n, list(e.img))
+        assert twin is not e
+        assert decompose(twin) == decompose(e) == decompose.__wrapped__(twin)
+    info = decompose.cache_info()
+    assert info.maxsize == 256 and info.currsize <= 256
+
+
 def test_decompose_parts_partition_span():
     for e in all_elements(4):
         d = decompose(e)

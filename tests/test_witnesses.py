@@ -9,8 +9,8 @@ from invsemi import commute, graph as gm, witnesses as wit
 from invsemi.pinj import (PInj, UNDEF, classify, decompose, element_from_id,
                           format_element, join, monoid_order, parse, power)
 
-from helpers import (oracle_commutes, oracle_permutation_centralizer,
-                     perfect_matchings)
+from helpers import (oracle_commutes, oracle_full_cycle_distance,
+                     oracle_permutation_centralizer, perfect_matchings)
 
 
 def noncentral_elements(n):
@@ -251,6 +251,51 @@ def test_centralizer_meet_matches_oracle():
         assert rows == commute.permutation_centralizer_order(x)
         hits += len(survivors) > 1
     assert hits > 20
+
+
+def test_joint_centralizer_matches_streaming_n15():
+    # divisor-power pairs of random 15-cycle pairs, and of a cycle and its
+    # square, whose joint centralizer is the 15-cycle's powers and zero
+    rng = random.Random(15)
+    a = PInj.cycle(15, rng.sample(range(15), 15))
+    pairs = [(a, power(a, 2))]
+    pairs += [tuple(PInj.cycle(15, rng.sample(range(15), 15))
+                    for _ in range(2)) for _ in range(8)]
+    sizes = []
+    for a, b in pairs:
+        for dm in (3, 5):
+            for dk in (3, 5):
+                ga, gb = power(a, dm), power(b, dk)
+                if len(commute.overlap_classes(ga, gb)) != 1:
+                    continue
+                joint = commute.permutation_joint_centralizer(ga, gb)
+                streamed, rows = wit._centralizer_meet(ga, gb)
+                assert set(joint) == set(streamed)
+                assert rows == commute.permutation_centralizer_order(ga)
+                sizes.append(len(joint))
+    assert sizes.count(16) == 2 and len(sizes) > 2
+
+
+@pytest.mark.parametrize("n", [9, 15, 21])
+def test_pair_distance_matches_full_grid_oracle(n):
+    # 200 random pairs, plus a cycle with its square (distance 1) and with
+    # another cube root of its cube (distance 2): the three cycles of the
+    # cube threaded with the second one turned by a step
+    rng = random.Random(n)
+    pairs = [tuple(PInj.cycle(n, rng.sample(range(n), n)) for _ in range(2))
+             for _ in range(200)]
+    a = pairs[0][0]
+    cyc = decompose(power(a, 3)).cycles
+    root = PInj.cycle(n, [c[(t + j % 2) % len(c)]
+                          for t in range(n // 3) for j, c in enumerate(cyc)])
+    assert power(root, 3) == power(a, 3)
+    pairs += [(a, power(a, 2)), (a, root)]
+    hist = {}
+    for a, b in pairs:
+        dist = wit._full_cycle_pair_distance(a, b)
+        assert dist == oracle_full_cycle_distance(a, b)
+        hist[dist] = hist.get(dist, 0) + 1
+    assert {1, 2, 4, 5} <= set(hist) and (n != 9 or 3 in hist)
 
 
 def test_verify_distance5_nine_points():
