@@ -6,6 +6,10 @@ table whose last column is the sentinel, so composition is one gather).
 Little-endian bit packing is assumed when uint8 buffers are viewed as
 uint64 words; this matches every platform the package targets.
 
+``commuting`` is the package's one batch commutation predicate, behind
+adjacency, centralizers and power grids; ``element_rows`` and
+``row_element`` convert between ``PInj`` objects and rows.
+
 The adjacency kernel exploits that conjugation by a permutation of the
 ground set preserves commutation.  On a row set closed under conjugation it
 compares only one representative row per cycle-chain type against all rows
@@ -27,6 +31,8 @@ __all__ = [
     "iter_matrix_chunks",
     "elements_matrix",
     "row_element",
+    "element_rows",
+    "commuting",
     "adjacency_packed",
     "conjugacy_classes",
     "pack_bool_rows",
@@ -37,10 +43,16 @@ _FILTERS = ("all", "idempotent", "permutation", "nilpotent")
 _ADJACENCY_BLOCK = 256  # representative rows per dense comparison block
 
 
+def _augmented(m: np.ndarray) -> np.ndarray:
+    """``m`` with a sentinel column, so a gather through it composes."""
+    return np.concatenate([m, np.full((len(m), 1), m.shape[1], np.int8)],
+                          axis=1)
+
+
 def _nilpotent_mask(m: np.ndarray, n: int) -> np.ndarray:
     """Rows whose map has no cycle: n-fold self-composition reaches the
     empty map exactly for nilpotents."""
-    aug = np.concatenate([m, np.full((m.shape[0], 1), n, np.int8)], axis=1)
+    aug = _augmented(m)
     v = m.astype(np.int64)
     for _ in range(n):
         v = np.take_along_axis(aug, v, axis=1).astype(np.int64)
@@ -131,6 +143,26 @@ def row_element(n: int, row) -> PInj:
     return PInj(n, [UNDEF if v == n else int(v) for v in row])
 
 
+def element_rows(elems, n: int) -> np.ndarray:
+    """The int8 image matrix of ``elems``, one row per element, with n
+    marking points outside the domain: the inverse of ``row_element``."""
+    m = np.array([e.img for e in elems], dtype=np.int8).reshape(-1, n)
+    m[m == UNDEF] = n
+    return m
+
+
+def commuting(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``bool[len(a), len(b)]``, set where the rows a_i and b_j commute:
+    int8 image tables on the same n points, n marking undefined.  Each
+    composite is one gather through the other batch's augmented matrix."""
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("row batches of different ground sizes")
+    # ab[j, i, x] = b_j(a_i(x)); ba[i, j, x] = a_i(b_j(x))
+    ab = _augmented(b)[:, a]
+    ba = _augmented(a)[:, b]
+    return (ab.transpose(1, 0, 2) == ba).all(axis=2)
+
+
 def pack_bool_rows(rows: np.ndarray, width: int) -> np.ndarray:
     """Pack boolean rows into uint64 words, bit j of word w = column 64w+j."""
     words = (width + 63) // 64
@@ -145,7 +177,7 @@ def _cycle_chain_types(m: np.ndarray, n: int) -> np.ndarray:
     of chains with L points, for L = 1..n.  Fixed points are 1-cycles and
     points outside domain and image are 1-point chains."""
     big_n = m.shape[0]
-    aug = np.concatenate([m, np.full((big_n, 1), n, np.int8)], axis=1)
+    aug = _augmented(m)
     points = np.arange(n)
     v = m.astype(np.int64)
     cycle_len = np.zeros((big_n, n), np.int64)
@@ -197,19 +229,6 @@ def conjugacy_classes(m: np.ndarray):
         return first, inverse.reshape(-1)
     every = np.arange(big_n)
     return every, every
-
-
-def _commuting_rows(m: np.ndarray, aug: np.ndarray,
-                    rows: np.ndarray) -> np.ndarray:
-    """Boolean adjacency of the given rows against every row, diagonal
-    clear: both composite tables come from single gathers through the
-    augmented matrix, and equal composites mean commuting."""
-    # ab[b, j, x] = m_b(a_j(x)); ba[j, b, x] = a_j(m_b(x))
-    ab = aug[:, m[rows]]
-    ba = aug[rows][:, m]
-    eq = (ab.transpose(1, 0, 2) == ba).all(axis=2)
-    eq[np.arange(len(rows)), rows] = False
-    return eq
 
 
 def _conjugation_index(m: np.ndarray, sorted_codes: np.ndarray,
@@ -280,13 +299,13 @@ def adjacency_packed(m: np.ndarray) -> np.ndarray:
     closed under conjugation has every row as its own representative, so
     then every row is compared densely.
     """
-    big_n, n = m.shape
-    aug = np.concatenate([m, np.full((big_n, 1), n, np.int8)], axis=1)
-    words = (big_n + 63) // 64
-    out = np.empty((big_n, words), dtype=np.uint64)
+    big_n = len(m)
+    out = np.empty((big_n, (big_n + 63) // 64), dtype=np.uint64)
     reps, inverse = conjugacy_classes(m)
     for s in range(0, len(reps), _ADJACENCY_BLOCK):
         rows = reps[s:s + _ADJACENCY_BLOCK]
-        out[rows] = pack_bool_rows(_commuting_rows(m, aug, rows), big_n)
+        eq = commuting(m[rows], m)
+        eq[np.arange(len(rows)), rows] = False
+        out[rows] = pack_bool_rows(eq, big_n)
     _conjugate_rows(m, out, reps, inverse)
     return out

@@ -573,13 +573,8 @@ def _suite_properties(s: SuiteReport, p: dict, ctx: CliContext):
 
     def cycle_actions():
         bad = 0
-        perms = [e for e in construct.enumerate_elements(4, "permutation")]
-        elems = list(construct.enumerate_elements(4))
-        for a in perms:
-            chk = commute.CommuteChecker(a)
-            for g in elems:
-                if not chk.commutes(g):
-                    continue
+        for a in construct.enumerate_elements(4, "permutation"):
+            for g in commute.centralizer(a):
                 try:
                     witnesses.cycle_action_map(a, g)
                 except (ValueError, AssertionError):

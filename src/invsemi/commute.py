@@ -6,10 +6,10 @@ normal form of one factor against the other: cycles must map onto
 equal-length cycles with a consistent rotation, chain prefixes must map
 onto chain suffixes ending at the final point (a lone head image merely
 stays outside the domain), and points off the span may only land off the
-span or on a chain's final point.  The structural route is the coded form
-of the paper's characterization of commuting pairs, which ``CommuteChecker``
-applies to streams sharing one left factor; it is not faster per pair than
-the naive route, and the two are cross-checked in the test suite.
+span or on a chain's final point: the paper's characterization, coded as
+``CommuteChecker``.  The two are cross-checked in the test suite.  Batches
+of pairs, as in the centralizers below, go through the batch predicate
+``_bulk.commuting`` instead.
 
 Centralizers of permutations admit direct enumeration without touching the
 ambient monoid: an element commuting with a permutation is determined by a
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from ._bulk import row_element
+from ._bulk import commuting, element_rows, iter_matrix_chunks, row_element
 from .pinj import PInj, UNDEF, decompose
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "commutes_structural",
     "CommuteChecker",
     "centralizer",
-    "centralizer_of_permutation",
     "iter_permutation_centralizer",
     "iter_permutation_centralizer_chunks",
     "permutation_centralizer_order",
@@ -60,10 +59,11 @@ def commutes_naive(a: PInj, b: PInj) -> bool:
 
 
 class CommuteChecker:
-    """Precomputed normal form of one element, reusable against many others.
+    """The paper's criterion for commuting with ``a``, from its normal form.
 
-    Build once per left factor when filtering a stream; ``commutes`` runs in
-    O(n) per candidate.
+    ``commutes`` runs in O(n) per candidate.  It backs ``commutes_structural``
+    and re-checks ``permutation_joint_centralizer``; batches go through
+    ``_bulk.commuting``.
     """
 
     __slots__ = ("a", "n", "cycles", "chains", "loc", "chain_last")
@@ -159,19 +159,20 @@ def commutes_structural(a: PInj, b: PInj) -> bool:
 # -- centralizers -------------------------------------------------------------
 
 
-def centralizer(a: PInj, universe=None, max_rank=None):
-    """All elements of ``universe`` commuting with ``a``, as a SemigroupSet.
+def centralizer(a: PInj):
+    """All elements of the monoid on a.n <= 12 points commuting with
+    ``a``, as a SemigroupSet.
 
-    ``universe`` may be an iterable of elements, or None for the whole
-    monoid on a.n <= 12 points (optionally cut to rank <= max_rank, i.e.
-    an ideal).  The universe is streamed, never materialized.
+    The monoid streams as image-matrix chunks through one batch test
+    each, and only the commuting rows become ``PInj`` objects.
     """
-    from .construct import SemigroupSet, enumerate_elements
+    from .construct import SemigroupSet
 
-    if universe is None:
-        universe = enumerate_elements(a.n, max_rank=max_rank)
-    chk = CommuteChecker(a)
-    return SemigroupSet.from_elements(a.n, (u for u in universe if chk.commutes(u)))
+    n = a.n
+    head = element_rows([a], n)
+    hits = (m[commuting(head, m)[0]] for _, m in iter_matrix_chunks(n))
+    return SemigroupSet.from_elements(
+        n, (row_element(n, row) for m in hits for row in m.tolist()))
 
 
 def _cycle_classes(a: PInj) -> dict:
@@ -295,18 +296,6 @@ def permutation_centralizer_order(a: PInj) -> int:
     """Exact size of the centralizer of a permutation in the full monoid."""
     return math.prod(sum(_stratum_sizes(len(cyc), length))
                      for length, cyc in _cycle_classes(a).items())
-
-
-def centralizer_of_permutation(a: PInj):
-    """Materialized centralizer of a permutation, ID-sorted, with the
-    structural count asserted against the stream."""
-    from .construct import SemigroupSet
-
-    elems = list(iter_permutation_centralizer(a))
-    expect = permutation_centralizer_order(a)
-    if len(elems) != expect or len(set(elems)) != expect:
-        raise AssertionError("centralizer stream disagrees with its count")
-    return SemigroupSet.from_elements(a.n, elems)
 
 
 # -- joint centralizers of two permutations ----------------------------------

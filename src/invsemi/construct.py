@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from ._bulk import elements_matrix, iter_matrix_chunks, row_element
+from ._bulk import iter_matrix_chunks, row_element
 from .pinj import (
     PInj,
     UNDEF,
@@ -306,7 +306,8 @@ def max_commutative_nilpotent(n: int, budget_seconds=None,
 
     Exhaustive and exact; guarded to n in ``EXTREMAL_NS``, where the graph
     sizes are 72 to 37632 vertices (``force`` lifts the guard: still exact,
-    but the search may not finish in reasonable time).
+    but the search may not finish in reasonable time).  The graph's vertex
+    cap still holds, and is checked before any element is enumerated.
     """
     from . import graph as _graph
 
@@ -315,10 +316,8 @@ def max_commutative_nilpotent(n: int, budget_seconds=None,
                          f" {EXTREMAL_NS.stop - 1}; pass force=True to try"
                          " anyway")
     t0 = time.perf_counter()
-    ids, mat = elements_matrix(n, "nilpotent")
-    keep = ids != 0  # drop the zero map; it is central everywhere here
-    g = _graph.graph_from_matrix(n, ids[keep], mat[keep], center_ids=(0,),
-                                 label=f"nilpotent-n{n}")
+    # the zero map commutes with every vertex; each witness adds it back
+    g = _graph.build_graph(n, "nilpotent", center="ideal")
     size, _ = _graph.clique_number(g, budget_seconds=budget_seconds)
     cliques = _graph.maximum_cliques(g, target=size, vertex_cap=50_000,
                                      budget_seconds=budget_seconds)

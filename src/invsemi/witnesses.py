@@ -18,11 +18,8 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._bulk import _commuting_rows, row_element
+from ._bulk import commuting, element_rows, row_element
 from .commute import (
-    CommuteChecker,
     commutes_naive,
     commutes_structural,
     iter_permutation_centralizer,
@@ -66,27 +63,24 @@ def _partial_identity(n: int, pts) -> PInj:
     return PInj.from_dict(n, {int(x): int(x) for x in pts})
 
 
-def _commuting_pairs(xs, ys) -> int:
-    """Number of pairs in ``xs`` x ``ys`` that commute, with one checker
-    built per element of ``xs``."""
-    return sum(chk.commutes(y) for chk in map(CommuteChecker, xs) for y in ys)
+def _commuting_pairs(n: int, xs, ys) -> int:
+    """Number of pairs in ``xs`` x ``ys`` of elements on n points that
+    commute, decided as one batch."""
+    return int(commuting(element_rows(xs, n), element_rows(ys, n)).sum())
 
 
 def _centralizer_meet(x: PInj, y: PInj):
     """(elements of the centralizer of the permutation ``x`` that commute
     with ``y``, number of centralizer rows streamed).
 
-    Each chunk of the stream is tested at once: ``y``'s row is stacked on
-    top and compared against every row, and only the rows that commute
-    become ``PInj`` objects.
+    Each chunk of the stream is tested against ``y`` as one batch, and
+    only the rows that commute become ``PInj`` objects.
     """
     n = x.n
-    head = np.array([[n if v == UNDEF else v for v in y.img]], dtype=np.int8)
+    head = element_rows([y], n)
     survivors, streamed = [], 0
     for chunk in iter_permutation_centralizer_chunks(x):
-        m = np.concatenate([head, chunk])
-        aug = np.concatenate([m, np.full((len(m), 1), n, np.int8)], axis=1)
-        hit = _commuting_rows(m, aug, np.zeros(1, np.intp))[0, 1:]
+        hit = commuting(head, chunk)[0]
         survivors += [row_element(n, row) for row in chunk[hit].tolist()]
         streamed += len(chunk)
     return survivors, streamed
@@ -491,7 +485,7 @@ def verify_distance5(n: int, pair=None) -> Distance5Report:
 
     apow = [power(alpha, s) for s in range(1, n)]
     bpow = [power(beta, t) for t in range(1, n)]
-    bad = _commuting_pairs(apow, bpow)
+    bad = _commuting_pairs(n, apow, bpow)
     checks.append(("no proper power of one commutes with a proper power of"
                    " the other", bad == 0, f"{(n - 1) ** 2} pairs"))
 
@@ -647,7 +641,7 @@ def dolzan_distance_check(n: int = 10) -> SymGapReport:
     cb = {g for g in iter_permutation_centralizer(beta) if g.is_permutation()}
     checks.append(("the point-fixing cycle's total centralizer is its power"
                    " group", cb == set(bpow), f"{len(cb)} elements"))
-    bad = _commuting_pairs(apow[:-1], bpow[:-1])
+    bad = _commuting_pairs(n, apow[:-1], bpow[:-1])
     checks.append(("no nonidentity power pair commutes", bad == 0,
                    f"{(n - 1) * (n - 2)} pairs"))
     for dm in _proper_divisors(n):
@@ -682,22 +676,24 @@ class SearchReport:
 def _full_cycle_pair_distance(a: PInj, b: PInj):
     """Exact commuting-graph distance between two full cycles, decided
     without materializing the graph: neighborhoods are power groups, so
-    short paths reduce to divisor-power centralizer questions.  A power
-    a^s and a^gcd(s, n) are powers of each other, so after the shared
-    power test only a^d for d = 1 or a proper divisor of n matters."""
+    short paths reduce to divisor-power centralizer questions.  The two
+    power groups meet beyond the identity exactly when b^(n/p) is a power
+    of a^(n/p) for a prime p | n (their subgroups of order p coincide).
+    A power a^s and a^gcd(s, n) are powers of each other, so after that
+    only a^d for d = 1 or a proper divisor of n matters."""
     n = a.n
     if a == b:
         return 0
     if commutes_naive(a, b):
         return 1
-    apow = [power(a, s) for s in range(1, n)]
-    bpow = [power(b, t) for t in range(1, n)]
-    if (set(apow) & set(bpow)) - {PInj.identity(n)}:
-        return 2
     divisors = [1] + _proper_divisors(n)
-    adiv = [apow[d - 1] for d in divisors]
-    bdiv = [bpow[d - 1] for d in divisors]
-    if _commuting_pairs(adiv, bdiv):
+    adiv = [power(a, d) for d in divisors]
+    bdiv = [power(b, d) for d in divisors]
+    primes = [p for p in divisors[1:] + [n] if _smallest_prime_factor(p) == p]
+    if any(power(b, n // p) in {power(a, k * n // p) for k in range(1, p)}
+           for p in primes):
+        return 2
+    if _commuting_pairs(n, adiv, bdiv):
         return 3
     for ga in adiv[1:]:
         for gb in bdiv[1:]:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invsemi import commute
-from invsemi.commute import (CommuteChecker, centralizer,
-                             centralizer_of_permutation, commutes_naive,
+from invsemi._bulk import commuting, element_rows, row_element
+from invsemi.commute import (CommuteChecker, centralizer, commutes_naive,
                              commutes_structural,
                              iter_permutation_centralizer,
                              iter_permutation_centralizer_chunks,
@@ -54,6 +54,29 @@ def test_routes_agree_exhaustively(n):
 def test_routes_agree_random(pair):
     a, b = pair
     assert commutes_structural(a, b) == commutes_naive(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_batch_kernel_matches_oracle(n):
+    rng = random.Random(n)
+    for size_a, size_b in ((0, 5), (5, 0), (1, 1), (1, 9), (9, 1), (17, 40)):
+        xs, ys = ([element_from_id(n, rng.randrange(monoid_order(n)))
+                   for _ in range(size)] for size in (size_a, size_b))
+        for batch in (xs, ys):
+            batch[:2] = [PInj.zero(n), PInj.identity(n)][:len(batch)]
+        a, b = element_rows(xs, n), element_rows(ys, n)
+        assert a.dtype == np.int8 and a.shape == (size_a, n)
+        assert [row_element(n, row) for row in a] == xs
+        got = commuting(a, b)
+        assert got.dtype == bool and got.shape == (size_a, size_b)
+        assert got.tolist() == [[oracle_commutes(x, y) for y in ys]
+                                for x in xs]
+
+
+def test_batch_kernel_rejects_size_mismatch():
+    with pytest.raises(ValueError):
+        commuting(element_rows([PInj.zero(3)], 3),
+                  element_rows([PInj.zero(4)], 4))
 
 
 def test_structural_rejects_size_mismatch():
@@ -129,6 +152,22 @@ def test_spanning_chain_centralizer_is_powers_and_center():
                   | {power(a, q) for q in range(1, n)})
         assert set(centralizer(a).elements) == expect
         assert len(expect) == n + 1
+
+
+def test_centralizer_builds_only_survivors(monkeypatch):
+    built = []
+    init = PInj.__init__
+
+    def counting(self, n, img):
+        built.append(img)
+        init(self, n, img)
+
+    for a in (PInj.cycle(5, range(5)), join(5, cycles=((0,), (1,)))):
+        built.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(PInj, "__init__", counting)
+            cz = centralizer(a)
+        assert 0 < len(built) == len(cz) < monoid_order(5)
 
 
 # -- permutation centralizers ------------------------------------------------------
@@ -240,11 +279,11 @@ def test_permutation_order_formula_n5():
         assert permutation_centralizer_order(a) == brute
 
 
-def test_centralizer_of_permutation_consistency():
+def test_permutation_stream_matches_centralizer():
     a = join(4, cycles=((0, 1), (2, 3)))
-    s = centralizer_of_permutation(a)
-    assert len(s) == permutation_centralizer_order(a)
-    assert set(s.elements) == set(centralizer(a).elements)
+    stream = list(iter_permutation_centralizer(a))
+    assert len(stream) == len(set(stream)) == permutation_centralizer_order(a)
+    assert set(stream) == set(centralizer(a).elements)
 
 
 # -- joint centralizers ------------------------------------------------------------

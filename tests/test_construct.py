@@ -230,3 +230,13 @@ def test_extremal_guard():
         max_commutative_nilpotent(8)
     with pytest.raises(ValueError):
         max_commutative_nilpotent(2)
+
+
+def test_extremal_cap_is_checked_before_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated the nilpotents of I(8)")
+
+    monkeypatch.setattr(construct, "elements_matrix", refuse, raising=False)
+    monkeypatch.setattr(gm, "elements_matrix", refuse)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        max_commutative_nilpotent(8, force=True)

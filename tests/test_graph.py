@@ -81,14 +81,15 @@ def run_kernel(mat, monkeypatch):
     """``adjacency_packed(mat)`` and the number of rows it compared
     densely against the whole matrix."""
     dense = []
-    inner = _bulk._commuting_rows
+    inner = _bulk.commuting
 
-    def counting(m, aug, rows):
-        dense.append(len(rows))
-        return inner(m, aug, rows)
+    def counting(a, b):
+        assert len(b) == len(mat)
+        dense.append(len(a))
+        return inner(a, b)
 
     with monkeypatch.context() as mp:
-        mp.setattr(_bulk, "_commuting_rows", counting)
+        mp.setattr(_bulk, "commuting", counting)
         packed = adjacency_packed(mat)
     return packed, sum(dense)
 
