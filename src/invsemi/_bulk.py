@@ -6,6 +6,12 @@ table whose last column is the sentinel, so composition is one gather).
 Little-endian bit packing is assumed when uint8 buffers are viewed as
 uint64 words; this matches every platform the package targets.
 
+One index decoder yields the elements commuting with a permutation: per
+class of equal-length cycles, a partial injection between cycles and one
+rotation per mapped cycle.  I(n) streams as the identity's centralizer,
+index i decoding to the element with ID i; matrix enumeration is capped at
+n <= 10, where the top stratum's table takes 36 MB.
+
 ``commuting`` is the package's one batch commutation predicate, behind
 adjacency, centralizers and power grids; ``element_rows`` and
 ``row_element`` convert between ``PInj`` objects and rows.
@@ -38,7 +44,7 @@ __all__ = [
     "pack_bool_rows",
 ]
 
-_MAX_MATRIX_GROUND = 12
+_MAX_MATRIX_GROUND = 10
 _FILTERS = ("all", "idempotent", "permutation", "nilpotent")
 _ADJACENCY_BLOCK = 256  # representative rows per dense comparison block
 
@@ -70,71 +76,126 @@ def _filter_mask(m: np.ndarray, n: int, filt: str) -> np.ndarray:
     return (m != n).all(axis=1)  # permutation
 
 
-def iter_matrix_chunks(n: int, filt: str = "all", max_rank=None,
-                       chunk_rows: int = 1 << 20):
+# -- the index decoder --------------------------------------------------------
+
+_CHUNK_ROWS = 1 << 14  # rows per decoded chunk
+
+
+def _bijections(r: int) -> np.ndarray:
+    """Every permutation of range(r) as an int8 row, lexicographically."""
+    words = np.zeros((1, 0), np.int8)
+    for m in range(1, r + 1):
+        prev, words = words, np.empty((m, len(words), m), np.int8)
+        for f in range(m):
+            words[f, :, 0] = f
+            words[f, :, 1:] = prev + (prev >= f)
+        words = words.reshape(-1, m)
+    return words
+
+
+def _stratum_tables(t: int, length: int, r: int) -> tuple:
+    """Tables of the stratum mapping r of t cycles of length L, a row per
+    part: source subsets, target r-tuples of cycles d as codes 1 + d·L (by
+    image subset, then bijection), and offset r-tuples in base L."""
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(t), r)),
+        np.int8, count=math.comb(t, r) * r).reshape(-1, r)
+    targets = subsets[:, _bijections(r)].reshape(-1, r)
+    targets *= length
+    targets += 1
+    shifts = (np.arange(length ** r)[:, None] // length ** np.arange(r)
+              % length).astype(np.int8)
+    return subsets, targets, shifts
+
+
+def _class_choices(t: int, length: int, bounds: np.ndarray, tables: dict,
+                   k: np.ndarray) -> np.ndarray:
+    """Per source cycle of t cycles of length L, the choice of each option
+    in ``k``: 0 for unmapped, 1 + d·L + o for onto cycle d with offset o;
+    ``bounds`` and ``tables`` are the class's parts from ``decoder``."""
+    strata = np.searchsorted(bounds, k, side="right")
+    choice = np.zeros((len(k), t), dtype=np.int8)
+    for r in range(max(strata.min(initial=t), 1), strata.max(initial=0) + 1):
+        rows = np.flatnonzero(strata == r)
+        if not len(rows):
+            continue
+        if r not in tables:
+            tables[r] = _stratum_tables(t, length, r)
+        subsets, targets, shifts = tables[r]
+        rest, offs = np.divmod(k[rows] - bounds[r - 1], length ** r)
+        src, dst = np.divmod(rest, len(targets))
+        choice[rows[:, None], subsets[src]] = targets[dst] + shifts[offs]
+    return choice
+
+
+def decoder(n: int, classes: dict) -> list:
+    """Per class of ``classes``, {L: [cycle, ...]}: columns, rotated cycles,
+    t, L, totals of stratum_sizes(t)[r]·L^r, tables by r (built on use)."""
+    parts = []
+    for length, cyc in sorted(classes.items()):
+        cyc = np.array(cyc, dtype=np.int8).reshape(-1, length)
+        turn = (np.arange(length)[:, None] + np.arange(length)) % length
+        # row 1 + d·L + o: cycle d rotated by o; row 0: outside the domain
+        rotated = np.vstack([np.full((1, length), n, np.int8),
+                             cyc[:, turn].reshape(-1, length)])
+        bounds = np.cumsum([s * length ** r for r, s in
+                            enumerate(stratum_sizes(len(cyc)))])
+        parts.append((cyc.ravel().astype(np.intp), rotated, len(cyc),
+                      length, bounds, {}))
+    return parts
+
+
+def monoid_decoder(n: int) -> list:
+    """``decoder`` tables of the identity of I(n): option i is the element
+    with ID i.  The top stratum's table has n!·n bytes; n <= 10."""
+    if not 0 <= n <= _MAX_MATRIX_GROUND:
+        raise ValueError(f"matrix enumeration supports n <= {_MAX_MATRIX_GROUND}")
+    return decoder(n, {1: [(x,) for x in range(n)]} if n else {})
+
+
+def decode(n: int, parts: list, idx: np.ndarray) -> np.ndarray:
+    """The int8 rows of options ``idx``: mixed-radix digits over the class
+    sizes, longest cycles fastest, one gather per class."""
+    out = np.empty((len(idx), n), dtype=np.int8)
+    for cols, rotated, t, length, bounds, tables in reversed(parts):
+        idx, k = np.divmod(idx, bounds[-1])
+        out[:, cols] = rotated[_class_choices(t, length, bounds, tables, k)
+                               ].reshape(len(k), -1)
+    return out
+
+
+def decode_chunks(n: int, parts: list, start: int, stop: int):
+    """(first index, rows) of options start..stop-1 in _CHUNK_ROWS chunks."""
+    for lo in range(start, stop, _CHUNK_ROWS):
+        yield lo, decode(n, parts, np.arange(lo, min(lo + _CHUNK_ROWS, stop)))
+
+
+def iter_matrix_chunks(n: int, filt: str = "all", max_rank=None):
     """Iterator of (ids, matrix) blocks in ascending ID order: rank, then
     domain, then image subsets in lexicographic order, then bijections.
 
     ``filt`` is one of all | idempotent | permutation | nilpotent and
-    ``max_rank`` cuts the enumeration to an ideal.  Bad arguments raise
-    ``ValueError`` here, before any row is built.
+    ``max_rank`` cuts the enumeration to an ideal.  Each block decodes IDs
+    as options of the identity's centralizer (``monoid_decoder``, n <= 10),
+    then filters.  Bad arguments raise ``ValueError`` before any row.
     """
-    if not 0 <= n <= _MAX_MATRIX_GROUND:
-        raise ValueError(f"matrix enumeration supports n <= {_MAX_MATRIX_GROUND}")
+    parts = monoid_decoder(n)
     if filt not in _FILTERS:
         raise ValueError(f"unknown filter {filt!r}")
-    return _matrix_chunks(n, filt, max_rank, chunk_rows)
-
-
-def _matrix_chunks(n, filt, max_rank, chunk_rows):
-    sizes = stratum_sizes(n)
+    bounds = np.cumsum([0] + stratum_sizes(n))
     top = n if max_rank is None else min(max_rank, n)
-    eid = 0
-    pending_ids = []
-    pending_m = []
-    pending_rows = 0
-    for r in range(top + 1):
-        if filt == "permutation" and r < n:
-            eid += sizes[r]
-            continue
-        fact = math.factorial(r)
-        perm_idx = (np.array(list(itertools.permutations(range(r))), dtype=np.int64)
-                    if r else np.zeros((1, 0), dtype=np.int64))
-        combos = list(itertools.combinations(range(n), r))
-        for dom in combos:
-            dom_arr = np.array(dom, dtype=np.int64)
-            for ima in combos:
-                ima_arr = np.array(ima, dtype=np.int8)
-                block = np.full((fact, n), n, dtype=np.int8)
-                if r:
-                    block[:, dom_arr] = ima_arr[perm_idx]
-                pending_m.append(block)
-                pending_ids.append(np.arange(eid, eid + fact, dtype=np.int64))
-                pending_rows += fact
-                eid += fact
-                if pending_rows >= chunk_rows:
-                    m = np.vstack(pending_m)
-                    ids = np.concatenate(pending_ids)
-                    mask = _filter_mask(m, n, filt)
-                    yield ids[mask], m[mask]
-                    pending_ids, pending_m, pending_rows = [], [], 0
-    if pending_rows:
-        m = np.vstack(pending_m)
-        ids = np.concatenate(pending_ids)
-        mask = _filter_mask(m, n, filt)
-        yield ids[mask], m[mask]
+    start = int(bounds[n if filt == "permutation" else 0])
+    chunks = decode_chunks(n, parts, start, int(bounds[max(top + 1, 0)]))
+    return ((lo + np.flatnonzero(keep), m[keep]) for lo, m in chunks
+            for keep in (_filter_mask(m, n, filt),))
 
 
 def elements_matrix(n: int, filt: str = "all", max_rank=None):
     """All qualifying elements as (ids, int8 matrix), ascending by ID."""
-    ids_parts = []
-    m_parts = []
-    for ids, m in iter_matrix_chunks(n, filt, max_rank):
-        ids_parts.append(ids)
-        m_parts.append(m)
-    if not ids_parts:
-        return np.empty(0, np.int64), np.empty((0, n), np.int8)
-    return np.concatenate(ids_parts), np.vstack(m_parts)
+    chunks = [(np.empty(0, np.int64), np.empty((0, n), np.int8))]
+    chunks += iter_matrix_chunks(n, filt, max_rank)
+    ids, ms = zip(*chunks)
+    return np.concatenate(ids), np.vstack(ms)
 
 
 def row_element(n: int, row) -> PInj:

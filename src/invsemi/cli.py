@@ -35,11 +35,12 @@ LAMBDA_TABLE = {2: 2, 3: 3, 4: 7, 5: 13, 6: 34, 7: 73, 8: 209, 9: 501,
 EXTREMAL_ORDER = {3: 3, 4: 7, 5: 13, 6: 34, 7: 73}
 EXTREMAL_COUNT = {4: 6, 5: 20, 6: 20, 7: 70}
 
-# Guarded ranges of n; --force lifts each.  The extremal search's range is
+# Guarded ranges of n; --force lifts each, but a suite's range starts at
+# the least n its reference values cover.  The extremal search's range is
 # ``construct.EXTREMAL_NS``.
 GRAPH_NS = range(7)      # graph materialization, general centralizers
 GRAPH_SUITE_NS = range(3, GRAPH_NS.stop)  # the diameter and pair suites
-CLIQUE_NS = range(5)     # max-clique uniqueness enumeration
+CLIQUE_NS = range(2, 5)  # max-clique uniqueness enumeration
 DISTANCE5_NS = (9, 25, 27)
 CENTRALIZER_LIST_CAP = 100_000  # centralizer --list, in elements
 
@@ -137,16 +138,17 @@ class CliContext:
     force: bool = False
     _graphs: dict = field(default_factory=dict)
 
-    def guard(self, what: str, n: int, allowed) -> None:
-        """Usage error unless ``n`` is in ``allowed`` or ``force`` is set."""
+    def guard(self, what: str, n: int, allowed, floor: bool = False) -> None:
+        """Usage error unless ``n`` is in ``allowed`` or ``force`` is set.
+        With ``floor``, ``allowed`` is a range whose start is the least n a
+        suite has reference values for, and ``force`` does not lift it."""
+        if floor and n < allowed.start:
+            raise UsageError(f"{what} has reference values only for n >="
+                             f" {allowed.start}; --force does not lift this")
         if n in allowed or self.force:
             return
-        if isinstance(allowed, range):
-            span = f"n <= {allowed.stop - 1}"
-            if allowed.start:
-                span = f"{allowed.start} <= {span}"
-        else:
-            span = f"n in {allowed}"
+        span = (f"{allowed.start} <= n <= {allowed.stop - 1}"
+                if isinstance(allowed, range) else f"n in {allowed}")
         raise UsageError(f"{what} is guarded to {span}; --force lifts the"
                          " guard")
 
@@ -232,7 +234,7 @@ def _perfect_matchings(points):
 
 
 def _suite_lambda(s: SuiteReport, p: dict, ctx: CliContext):
-    max_n = p.get("max_n") or 11
+    max_n = p.get("max_n", 11)
     for m in range(2, min(max_n, 11) + 1):
         s.check(f"balanced null order at n={m}", "order-table", REFERENCE,
                 LAMBDA_TABLE[m], lambda m=m: construct.balanced_null_order(m))
@@ -254,7 +256,7 @@ def _suite_lambda(s: SuiteReport, p: dict, ctx: CliContext):
 
 
 def _suite_balanced_null(s: SuiteReport, p: dict, ctx: CliContext):
-    n = p.get("n") or 4
+    n = p.get("n", 4)
     if n == 4:
         displayed = ["0", "[1 3]", "[1 4]", "[2 3]", "[2 4]",
                      "[1 3]|[2 4]", "[1 4]|[2 3]"]
@@ -276,7 +278,8 @@ def _suite_balanced_null(s: SuiteReport, p: dict, ctx: CliContext):
 
 
 def _suite_extremal(s: SuiteReport, p: dict, ctx: CliContext):
-    n = p.get("n") or 4
+    n = p.get("n", 4)
+    ctx.guard("the extremal suite", n, construct.EXTREMAL_NS, floor=True)
     box = {}
 
     def search():
@@ -322,8 +325,8 @@ def _suite_extremal(s: SuiteReport, p: dict, ctx: CliContext):
 
 
 def _suite_clique(s: SuiteReport, p: dict, ctx: CliContext):
-    n = p.get("n") or 3
-    ctx.guard("the clique suite", n, CLIQUE_NS)
+    n = p.get("n", 3)
+    ctx.guard("the clique suite", n, CLIQUE_NS, floor=True)
     g = ctx.graph(n)
     box = {}
 
@@ -361,8 +364,8 @@ def _suite_clique(s: SuiteReport, p: dict, ctx: CliContext):
 
 
 def _suite_ideal_diameters(s: SuiteReport, p: dict, ctx: CliContext):
-    n = p.get("n") or 4
-    ctx.guard("the ideal-diameter suite", n, GRAPH_SUITE_NS)
+    n = p.get("n", 4)
+    ctx.guard("the ideal-diameter suite", n, GRAPH_SUITE_NS, floor=True)
     for r in range(1, n):
         if r == n - 1:
             expected = 4
@@ -376,8 +379,8 @@ def _suite_ideal_diameters(s: SuiteReport, p: dict, ctx: CliContext):
 
 
 def _suite_full_diameter(s: SuiteReport, p: dict, ctx: CliContext):
-    n = p.get("n") or 4
-    ctx.guard("the full-diameter suite", n, GRAPH_SUITE_NS)
+    n = p.get("n", 4)
+    ctx.guard("the full-diameter suite", n, GRAPH_SUITE_NS, floor=True)
     expected = 4 if n % 2 == 0 else graphmod.INFINITY
     s.check(f"diameter of the full commuting graph at n={n}",
             "even-diameter" if n % 2 == 0 else "prime-disconnect", REFERENCE,
@@ -396,7 +399,7 @@ def _suite_full_diameter(s: SuiteReport, p: dict, ctx: CliContext):
 
 
 def _suite_distance5(s: SuiteReport, p: dict, ctx: CliContext):
-    n = p.get("n") or 9
+    n = p.get("n", 9)
     ctx.guard("distance-5 certification", n, DISTANCE5_NS)
     box = {}
 
@@ -415,8 +418,8 @@ def _suite_distance5(s: SuiteReport, p: dict, ctx: CliContext):
 
 
 def _suite_nilpotent_pairs(s: SuiteReport, p: dict, ctx: CliContext):
-    n = p.get("n") or 4
-    ctx.guard("the nilpotent-pairs suite", n, GRAPH_SUITE_NS)
+    n = p.get("n", 4)
+    ctx.guard("the nilpotent-pairs suite", n, GRAPH_SUITE_NS, floor=True)
     a, b = witnesses.extremal_nilpotent_pair(n)
     s.check(f"the spanning chain and its reversal sit at distance 4 in the"
             f" top proper ideal at n={n}", "pair-distance", REFERENCE, 4,
@@ -432,8 +435,8 @@ def _suite_sym_gap(s: SuiteReport, p: dict, ctx: CliContext):
 
 
 def _suite_properties(s: SuiteReport, p: dict, ctx: CliContext):
-    samples = p.get("samples") or 2000
-    seed = p.get("seed") or 0
+    samples = p.get("samples", 2000)
+    seed = p.get("seed", 0)
     rng = random.Random(seed)
 
     def naive_agreement():

@@ -23,14 +23,13 @@ so one Schreier tree of the group yields every candidate.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 
 import numpy as np
 
-from ._bulk import commuting, element_rows, iter_matrix_chunks, row_element
-from .pinj import PInj, UNDEF, decompose
+from ._bulk import (commuting, decode_chunks, decoder, element_rows,
+                    iter_matrix_chunks, row_element)
+from .pinj import PInj, UNDEF, decompose, stratum_sizes
 
 __all__ = [
     "commutes_naive",
@@ -160,11 +159,12 @@ def commutes_structural(a: PInj, b: PInj) -> bool:
 
 
 def centralizer(a: PInj):
-    """All elements of the monoid on a.n <= 12 points commuting with
-    ``a``, as a SemigroupSet.
+    """All elements of the monoid on a.n <= 10 points (the matrix
+    enumeration cap) commuting with ``a``, as a SemigroupSet.
 
-    The monoid streams as image-matrix chunks through one batch test
-    each, and only the commuting rows become ``PInj`` objects.
+    The monoid streams as the identity's centralizer, in image-matrix
+    chunks through one batch test each, and only the commuting rows become
+    ``PInj`` objects.
     """
     from .construct import SemigroupSet
 
@@ -185,108 +185,28 @@ def _cycle_classes(a: PInj) -> dict:
     return classes
 
 
-_CENTRALIZER_CHUNK_ROWS = 1 << 14
-
-
-def _stratum_sizes(t: int, length: int) -> list:
-    """Options of a class of t cycles of one length that map exactly r
-    cycles, for r = 0..t: a domain subset, a target subset, a bijection
-    between them and one rotation offset per mapped cycle."""
-    return [math.comb(t, r) ** 2 * math.factorial(r) * length ** r
-            for r in range(t + 1)]
-
-
-@functools.lru_cache(maxsize=None)
-def _stratum_tables(t: int, length: int, r: int) -> tuple:
-    """Option parts of the stratum mapping r of t cycles of one length L:
-    the subsets of r source cycles, the ordered r-tuples of target cycles
-    d as codes 1 + d·L, and the offset r-tuples in base L (digit i is the
-    offset of the i-th mapped cycle).  Each table has one row per part."""
-    subsets = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(t), r)),
-        np.int8, count=math.comb(t, r) * r).reshape(-1, r)
-    targets = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(t), r)),
-        np.int8, count=math.perm(t, r) * r).reshape(-1, r)
-    shifts = (np.arange(length ** r)[:, None] // length ** np.arange(r)
-              % length).astype(np.int8)
-    return subsets, 1 + length * targets, shifts
-
-
-def _class_choices(t: int, length: int, bounds: np.ndarray,
-                   k: np.ndarray) -> np.ndarray:
-    """Per source cycle of a class of t cycles of length L, the choice
-    made by each option in ``k``: 0 for unmapped, 1 + d·L + o for onto
-    target cycle d with offset o.
-
-    Options are ordered by the number r of mapped cycles, then by source
-    subset, ordered targets and offsets, the last varying fastest;
-    ``bounds`` holds the running totals of the stratum sizes.
-    """
-    strata = np.searchsorted(bounds, k, side="right")
-    lo, hi = int(strata.min()), int(strata.max())
-    choice = np.zeros((len(k), t), dtype=np.int8)
-    for r in range(max(lo, 1), hi + 1):
-        rows = np.flatnonzero(strata == r)
-        if not len(rows):
-            continue
-        subsets, targets, shifts = _stratum_tables(t, length, r)
-        rest, offs = np.divmod(k[rows] - bounds[r - 1], length ** r)
-        src, dst = np.divmod(rest, len(targets))
-        choice[rows[:, None], subsets[src]] = targets[dst] + shifts[offs]
-    return choice
-
-
 def iter_permutation_centralizer_chunks(a: PInj):
-    """Iterator of int8 image matrices, at most ``_CENTRALIZER_CHUNK_ROWS``
-    rows each, whose rows are every element commuting with the permutation
+    """Iterator of int8 image matrices, at most ``_bulk._CHUNK_ROWS`` rows
+    each, whose rows are every element commuting with the permutation
     ``a`` once, with n marking points outside the domain.
 
-    Choices factor over cycle-length classes: inside a class with t cycles
-    of length L, pick an injective partial map between cycles (source
-    subset, ordered targets) and a rotation offset in range(L) per mapped
-    cycle; the j-th point of a source cycle goes to point j + offset
-    (mod L) of its target.  Element i of the stream is the tuple of
-    mixed-radix digits of i over the class option counts, the longest
-    cycles varying fastest.  Each chunk decodes its range of i by
-    broadcasting and builds a class's columns with one gather from its
-    table of rotated cycles, so no option list is ever built.  Bad
-    arguments raise ``ValueError`` here, before any row is built.
+    Per class of t cycles of length L, an element maps some cycles onto
+    others, the j-th point of a source to point j + offset (mod L) of its
+    target.  Row i is decoded from i by ``_bulk.decode``, the decoder that
+    also streams I(n) as the identity's centralizer (up to n = 10); row 0
+    is the zero map.  Bad arguments raise ``ValueError`` before any row.
     """
     total = permutation_centralizer_order(a)
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"a centralizer of order {total} is too large to"
                          " stream")
-    n = a.n
-    classes = []
-    for length, cyc in sorted(_cycle_classes(a).items()):
-        cyc = np.array(cyc, dtype=np.int8)
-        turn = (np.arange(length)[:, None] + np.arange(length)) % length
-        # row 1 + d·L + o: cycle d rotated by o; row 0: outside the domain
-        rotated = np.vstack([np.full((1, length), n, np.int8),
-                             cyc[:, turn].reshape(-1, length)])
-        bounds = np.cumsum(_stratum_sizes(len(cyc), length))
-        classes.append((cyc.ravel().astype(np.intp), rotated, len(cyc),
-                        length, bounds))
-    return _centralizer_chunks(n, classes, total)
-
-
-def _centralizer_chunks(n, classes, total):
-    step = _CENTRALIZER_CHUNK_ROWS
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        out = np.empty((len(idx), n), dtype=np.int8)
-        for cols, rotated, t, length, bounds in reversed(classes):
-            idx, k = np.divmod(idx, bounds[-1])
-            choice = _class_choices(t, length, bounds, k)
-            out[:, cols] = rotated[choice].reshape(len(k), -1)
-        yield out
+    parts = decoder(a.n, _cycle_classes(a))
+    return (m for _, m in decode_chunks(a.n, parts, 0, total))
 
 
 def iter_permutation_centralizer(a: PInj):
     """Yield every element commuting with the permutation ``a``: the
-    ``PInj`` view of ``iter_permutation_centralizer_chunks``.  The empty
-    choice everywhere yields the zero map."""
+    ``PInj`` view of ``iter_permutation_centralizer_chunks``."""
     for m in iter_permutation_centralizer_chunks(a):
         for row in m.tolist():
             yield row_element(a.n, row)
@@ -294,7 +214,8 @@ def iter_permutation_centralizer(a: PInj):
 
 def permutation_centralizer_order(a: PInj) -> int:
     """Exact size of the centralizer of a permutation in the full monoid."""
-    return math.prod(sum(_stratum_sizes(len(cyc), length))
+    return math.prod(sum(s * length ** r for r, s in
+                         enumerate(stratum_sizes(len(cyc))))
                      for length, cyc in _cycle_classes(a).items())
 
 

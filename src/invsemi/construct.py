@@ -170,14 +170,14 @@ def classify_semigroup(s: SemigroupSet) -> SemigroupFlags:
 
 
 def enumerate_elements(n: int, filt: str = "all", max_rank=None):
-    """Iterator of the elements of I(n) ascending by ID, for n <= 12.
+    """Iterator of the elements of I(n) ascending by ID, for n <= 10.
 
     ``filt`` is one of all | idempotent | permutation | nilpotent;
     ``max_rank`` cuts the enumeration to an ideal.  A view of
-    ``iter_matrix_chunks``, so bad arguments raise ``ValueError`` here.
+    ``iter_matrix_chunks``, which streams I(n) as the identity's
+    centralizer, so bad arguments raise ``ValueError`` here.
     """
-    # small chunks bound the memory that ``tolist`` takes per chunk
-    chunks = iter_matrix_chunks(n, filt, max_rank, chunk_rows=1 << 12)
+    chunks = iter_matrix_chunks(n, filt, max_rank)
     return (row_element(n, row) for _, m in chunks for row in m.tolist())
 
 

@@ -17,13 +17,15 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bulk import (adjacency_packed, conjugacy_classes, elements_matrix,
-                    pack_bool_rows, row_element)
+from ._bulk import (adjacency_packed, conjugacy_classes, decode,
+                    elements_matrix, monoid_decoder, pack_bool_rows,
+                    row_element)
 from .commute import commutes_naive
 from .construct import count_elements
 from .pinj import PInj, element_from_id, element_id, format_element
@@ -58,6 +60,7 @@ VERTEX_CAP = 50_000
 
 _FORMAT_MAGIC = b"ICGR"
 _FORMAT_VERSION = 2
+_FORMAT_HEAD = "<BHQHH"  # version, n, vertex count, center count, label length
 
 
 class BudgetExceeded(RuntimeError):
@@ -162,10 +165,6 @@ class CommutingGraph:
     @property
     def num_vertices(self) -> int:
         return len(self.ids)
-
-    @property
-    def words(self) -> int:
-        return self.packed.shape[1] if self.packed.size else (self.num_vertices + 63) // 64
 
     def degrees(self) -> np.ndarray:
         return np.bitwise_count(self.packed).sum(axis=1, dtype=np.int64)
@@ -684,16 +683,10 @@ def save_packed(g: CommutingGraph, path) -> None:
     bytes can also be audited externally.
     """
     label = g.label.encode("utf-8")
-    payload = bytearray()
-    payload += _FORMAT_MAGIC
-    payload += bytes([_FORMAT_VERSION])
-    payload += int(g.n).to_bytes(2, "little")
-    payload += int(g.num_vertices).to_bytes(8, "little")
-    payload += len(g.center_ids).to_bytes(2, "little")
-    payload += len(label).to_bytes(2, "little")
-    for cid in g.center_ids:
-        payload += int(cid).to_bytes(8, "little")
-    payload += label
+    payload = bytearray(_FORMAT_MAGIC)
+    payload += struct.pack(_FORMAT_HEAD, _FORMAT_VERSION, g.n, g.num_vertices,
+                           len(g.center_ids), len(label))
+    payload += np.array(g.center_ids, dtype="<u8").tobytes() + label
     payload += g.ids.astype("<u8").tobytes()
     payload += g.packed.astype("<u8").tobytes()
     digest = hashlib.sha256(payload).digest()
@@ -722,14 +715,9 @@ def load_packed(path) -> CommutingGraph:
             recorded = fh.read().split()[0]
         if digest.hex() != recorded:
             raise ValueError(f"sidecar checksum mismatch for {path}")
-    n = int.from_bytes(payload[5:7], "little")
-    nverts = int.from_bytes(payload[7:15], "little")
-    ncenter = int.from_bytes(payload[15:17], "little")
-    nlabel = int.from_bytes(payload[17:19], "little")
-    off = 19
-    center_ids = tuple(int.from_bytes(payload[off + 8 * i:off + 8 * i + 8],
-                                      "little") for i in range(ncenter))
-    off += 8 * ncenter
+    _, n, nverts, ncenter, nlabel = struct.unpack_from(_FORMAT_HEAD, blob, 4)
+    center_ids = np.frombuffer(payload, "<u8", count=ncenter, offset=19)
+    off = 19 + 8 * ncenter
     label = payload[off:off + nlabel].decode("utf-8")
     off += nlabel
     ids = np.frombuffer(payload, dtype="<u8", count=nverts, offset=off)
@@ -741,8 +729,8 @@ def load_packed(path) -> CommutingGraph:
     packed = np.frombuffer(payload, dtype="<u8", count=nverts * words,
                            offset=off).reshape(nverts, words)
     packed = packed.astype(np.uint64)
-    # IDs index the matrix up to the top ID's rank.  Still unsigned here,
-    # the top ID bounds them all; element_from_id rejects it if too big.
-    top = element_from_id(n, int(ids.max()) if nverts else 0)
-    imgs = elements_matrix(n, max_rank=top.rank)[1][ids.astype(np.int64)]
+    # Still unsigned here, the top ID bounds them all; element_from_id
+    # rejects it if too big.
+    element_from_id(n, int(ids.max()) if nverts else 0)
+    imgs = decode(n, monoid_decoder(n), ids.astype(np.int64))
     return CommutingGraph(n, ids, imgs, packed, center_ids, label)

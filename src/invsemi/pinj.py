@@ -50,8 +50,8 @@ __all__ = [
 
 UNDEF = -1
 
-# Image tables are plain tuples, so nothing below breaks past 32 points, but
-# IDs and enumeration are only meant to be exercised up to this ground size.
+# Image tables are plain tuples, so nothing below breaks past 32 points;
+# IDs are exercised up to this ground size, enumeration only to n <= 10.
 MAX_GROUND = 32
 
 

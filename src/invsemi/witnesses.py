@@ -377,13 +377,11 @@ def cycle_join_root(xi: PInj) -> PInj:
 
 
 def _factor_odd_prime_power(n: int):
-    p = _smallest_prime_factor(n)
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
+    p = _smallest_prime_factor(n) if n > 1 else 2  # 2 is rejected below
+    k = 1
+    while p ** k < n:
         k += 1
-    if m != 1 or p == 2 or k < 2:
+    if p == 2 or k < 2 or p ** k != n:
         raise ValueError("need an odd prime power p^k with k >= 2")
     return p, k
 

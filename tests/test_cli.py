@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,53 @@ def test_guard_exit_codes(capsys):
                 cli.main(argv)
             assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_prime_power_below_two_is_usage_error():
+    # n < 2 once hung in the prime-power factoring (n=1) or raised
+    # ZeroDivisionError (n=0), so each run gets its own process and timeout
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    for argv in (["verify", "distance5", "--n", "1", "--force"],
+                 ["verify", "distance5", "--n", "0", "--force"],
+                 ["witness", "--n", "1", "--pair", "prime-power", "--force"],
+                 ["witness", "--n", "0", "--pair", "prime-power", "--force"]):
+        proc = subprocess.run([sys.executable, "-m", "invsemi", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_explicit_zero_is_not_the_default(capsys):
+    # an explicit 0 is a value: it must not fall back to the suite default
+    for argv in (["verify", "extremal", "--n", "0"],
+                 ["verify", "distance5", "--n", "0"],
+                 ["verify", "clique", "--n", "0"],
+                 ["verify", "clique", "--n", "1"]):
+        code, _, err = run_main(capsys, argv)
+        assert code == 2 and "error:" in err, argv
+    rep = cli.run_suite("properties", {"samples": 0})
+    assert rep.passed
+    assert "0 random pairs" in rep.checks[0].claim
+
+
+def test_force_keeps_the_lower_bound_of_a_suite(capsys):
+    # --force lifts runtime guards only; below a suite's reference values
+    # its hard-coded expectations would report false failures
+    for suite, least in (("nilpotent-pairs", 3), ("full-diameter", 3),
+                         ("ideal-diameters", 3), ("extremal", 3),
+                         ("clique", 2)):
+        code, _, err = run_main(capsys, ["verify", suite, "--n",
+                                         str(least - 1), "--force"])
+        assert code == 2, suite
+        assert "error:" in err and f"n >= {least}" in err, suite
+    code, out, _ = run_main(capsys, ["extremal", "--n", "2", "--force",
+                                     "--json"])
+    assert code == 0
+    assert (json.loads(out)["max_order"], json.loads(out)["count"]) == (2, 2)
 
 
 def test_parse_error_exit_code(capsys):

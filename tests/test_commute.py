@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsemi import commute
+from invsemi import _bulk
 from invsemi._bulk import commuting, element_rows, row_element
 from invsemi.commute import (CommuteChecker, centralizer, commutes_naive,
                              commutes_structural,
@@ -227,8 +227,8 @@ def test_chunk_stream_matches_oracle(chunk_rows, monkeypatch):
     # row per chunk only where the centralizer is small
     assert len(STREAM_CASES) == 15 + 11 + 7 + 5 + 3 + 2 + 1 + 1
     if chunk_rows is not None:
-        monkeypatch.setattr(commute, "_CENTRALIZER_CHUNK_ROWS", chunk_rows)
-    limit = commute._CENTRALIZER_CHUNK_ROWS
+        monkeypatch.setattr(_bulk, "_CHUNK_ROWS", chunk_rows)
+    limit = _bulk._CHUNK_ROWS
     cases = [a for a in STREAM_CASES
              if chunk_rows != 1 or permutation_centralizer_order(a) <= 5000]
     assert len(cases) > (30 if chunk_rows == 1 else 40)
@@ -246,7 +246,7 @@ def test_chunk_stream_matches_oracle(chunk_rows, monkeypatch):
 def test_chunk_stream_memory_is_bounded(monkeypatch):
     # the 8th power of the 16-cycle: eight 2-cycles, one class whose option
     # list alone would take gigabytes
-    monkeypatch.setattr(commute, "_CENTRALIZER_CHUNK_ROWS", 64)
+    monkeypatch.setattr(_bulk, "_CHUNK_ROWS", 64)
     a = power(PInj.cycle(16, range(16)), 8)
     assert permutation_centralizer_order(a) == 101_817_089
     tracemalloc.start()

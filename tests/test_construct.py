@@ -77,8 +77,8 @@ def test_enumerate_rejects_bad_arguments():
                  lambda: iter_matrix_chunks(4, "bogus")):
         with pytest.raises(ValueError, match="unknown filter"):
             call()
-    with pytest.raises(ValueError, match="n <= 12"):
-        enumerate_elements(13)
+    with pytest.raises(ValueError, match="n <= 10"):
+        enumerate_elements(11)
 
 
 def test_enumerate_max_rank():

@@ -1,16 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from invsemi import _bulk
 from invsemi import graph as gm
-from invsemi._bulk import (adjacency_packed, conjugacy_classes,
+from invsemi._bulk import (adjacency_packed, conjugacy_classes, decode,
                            elements_matrix, iter_matrix_chunks,
-                           pack_bool_rows)
+                           monoid_decoder, pack_bool_rows, row_element)
+from invsemi.commute import iter_permutation_centralizer_chunks
 from invsemi.pinj import (PInj, UNDEF, decompose, element_from_id,
-                          element_id, monoid_order)
+                          element_id, monoid_order, stratum_sizes)
 
 from helpers import (brute_adjacency, brute_components, brute_distance,
                      brute_eccentricity, brute_max_cliques,
@@ -44,12 +46,48 @@ def test_elements_matrix_counts():
             assert [x if x != n else -1 for x in row] == list(e.img)
 
 
-def test_matrix_chunks_cover():
+def test_matrix_chunks_cover(monkeypatch):
     ids, mat = elements_matrix(4)
+    monkeypatch.setattr(_bulk, "_CHUNK_ROWS", 37)
     got_ids = []
-    for cids, cmat in iter_matrix_chunks(4, chunk_rows=37):
+    for cids, cmat in iter_matrix_chunks(4):
         got_ids.extend(int(i) for i in cids)
     assert got_ids == [int(i) for i in ids]
+
+
+def test_monoid_is_the_identity_centralizer():
+    # one decoder: the identity's centralizer stream is I(n) in ID order
+    for n in range(1, 7):
+        stream = np.concatenate(list(
+            iter_permutation_centralizer_chunks(PInj.identity(n))))
+        assert np.array_equal(stream, elements_matrix(n)[1])
+
+
+def test_decoder_at_stratum_edges():
+    for n in range(7, 11):
+        parts = monoid_decoder(n)
+        bounds = np.cumsum([0] + stratum_sizes(n))
+        ids = np.unique(np.concatenate([bounds[:-1], bounds[1:] - 1]))
+        rows = decode(n, parts, ids)
+        assert [row_element(n, r) for r in rows] == [
+            element_from_id(n, int(i)) for i in ids]
+
+
+@pytest.mark.parametrize("n, limit_mb", [(9, 32), (10, 256)])
+def test_enumeration_memory_at_the_cap(n, limit_mb):
+    # only the top stratum's tables are built for permutations; at n=9 the
+    # r!-row block enumerator took 95 MB here
+    tracemalloc.start()
+    try:
+        ids, m = next(iter_matrix_chunks(n, "permutation"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == _bulk._CHUNK_ROWS and (m != n).all()
+    assert ids[0] == sum(stratum_sizes(n)[:n])
+    assert peak < limit_mb << 20
+    with pytest.raises(ValueError, match="n <= 10"):
+        iter_matrix_chunks(11, "permutation")
 
 
 def test_adjacency_packed_matches_oracle():
