@@ -235,6 +235,8 @@ def _perfect_matchings(points):
 
 def _suite_lambda(s: SuiteReport, p: dict, ctx: CliContext):
     max_n = p.get("max_n", 11)
+    if max_n < 4:
+        raise UsageError("the lambda suite's recurrence needs --max-n n >= 4")
     for m in range(2, min(max_n, 11) + 1):
         s.check(f"balanced null order at n={m}", "order-table", REFERENCE,
                 LAMBDA_TABLE[m], lambda m=m: construct.balanced_null_order(m))

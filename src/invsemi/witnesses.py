@@ -18,6 +18,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._bulk import commuting, element_rows, row_element
 from .commute import (
     commutes_naive,
@@ -63,27 +65,19 @@ def _partial_identity(n: int, pts) -> PInj:
     return PInj.from_dict(n, {int(x): int(x) for x in pts})
 
 
-def _commuting_pairs(n: int, xs, ys) -> int:
-    """Number of pairs in ``xs`` x ``ys`` of elements on n points that
-    commute, decided as one batch."""
-    return int(commuting(element_rows(xs, n), element_rows(ys, n)).sum())
-
-
-def _centralizer_meet(x: PInj, y: PInj):
-    """(elements of the centralizer of the permutation ``x`` that commute
-    with ``y``, number of centralizer rows streamed).
-
-    Each chunk of the stream is tested against ``y`` as one batch, and
-    only the rows that commute become ``PInj`` objects.
-    """
+def _centralizer_meet(x: PInj, ys):
+    """(per y in ``ys``, the elements of the centralizer of the permutation
+    ``x`` that commute with y; number of rows streamed).  Each chunk is
+    tested against all of ``ys`` as one batch, and only the rows that
+    commute become ``PInj`` objects."""
     n = x.n
-    head = element_rows([y], n)
-    survivors, streamed = [], 0
+    head = element_rows(ys, n)
+    meets, streamed = [[] for _ in ys], 0
     for chunk in iter_permutation_centralizer_chunks(x):
-        hit = commuting(head, chunk)[0]
-        survivors += [row_element(n, row) for row in chunk[hit].tolist()]
+        for meet, hit in zip(meets, commuting(head, chunk)):
+            meet += [row_element(n, row) for row in chunk[hit].tolist()]
         streamed += len(chunk)
-    return survivors, streamed
+    return meets, streamed
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -91,6 +85,10 @@ def _smallest_prime_factor(n: int) -> int:
         if n % p == 0:
             return p
     return n
+
+
+def _proper_divisors(n: int):
+    return [d for d in range(2, n) if n % d == 0]
 
 
 # -- idempotent neighbors -------------------------------------------------------
@@ -428,6 +426,70 @@ def prime_power_pair(p: int, k: int):
 _STREAM_LIMIT = 2_000_000
 
 
+def _powers(a: PInj):
+    """(int8 rows of a, a^2, ..., a^(m-1) for the order m of the permutation
+    ``a``; {d: a^d} over the proper divisors d of m, the pivots)."""
+    m = math.lcm(*(len(c) for c in decompose(a).cycles))
+    rows = np.empty((m - 1, a.n), np.intp)
+    rows[0] = a.img
+    for s in range(1, m - 1):
+        rows[s] = rows[0][rows[s - 1]]
+    return rows.astype(np.int8), {d: row_element(a.n, rows[d - 1].tolist())
+                                  for d in _proper_divisors(m)}
+
+
+def _far_pair_checks(pa, pb):
+    """Yield (label, ok, detail, distance) checks that two permutations,
+    given by their ``_powers`` and each adjacent only to its proper powers,
+    lie more than four apart; a failing check pins the distance it names.
+
+    Commuting (1), a shared power (2) and a commuting pair on the whole
+    grid of proper powers (3) come from one batch.  The interior vertex of
+    a path of length 4 commutes with a pivot of each end, as a^s and
+    a^gcd(s, m) generate one group; one exists exactly when the pivots'
+    group is intransitive or its Schreier tree finds more than {0, 1} (4).
+    """
+    (arows, adiv), (brows, bdiv) = pa, pb
+    hits = commuting(arows, brows)
+    yield ("the two permutations do not commute", not hits[0, 0], "", 1)
+    ia, ib = np.nonzero(hits)
+    shared = int((arows[ia] == brows[ib]).all(axis=1).sum()) if len(ia) else 0
+    yield ("their power groups share only the identity", shared == 0,
+           f"{shared} shared powers", 2)
+    yield ("no proper power of one commutes with a proper power of the other",
+           len(ia) == 0, f"{hits.size} pairs", 3)
+    for d, x in adiv.items():
+        for e, y in bdiv.items():
+            classes = len(overlap_classes(x, y))
+            joint = (len(permutation_joint_centralizer(x, y))
+                     if classes == 1 else None)
+            yield (f"the first's power {d} and the second's power {e} generate"
+                   " a transitive group centralized only by zero and the"
+                   " identity",
+                   joint == 2, f"{classes} classes, {joint} elements", 4)
+
+
+def _lower_bound_checks(a: PInj, b: PInj) -> list:
+    """The ``_far_pair_checks`` of ``a`` and ``b`` as (label, ok, detail),
+    then, for each pivot of ``a`` with at most ``_STREAM_LIMIT`` centralizer
+    elements, that centralizer streamed once against every pivot of ``b``:
+    it must meet each in {0, 1} and stream as many rows as the formula."""
+    pa, pb = _powers(a), _powers(b)
+    checks = [c[:3] for c in _far_pair_checks(pa, pb)]
+    trivial = {PInj.zero(a.n), PInj.identity(a.n)}
+    for d, x in pa[1].items():
+        order = permutation_centralizer_order(x)
+        if order <= _STREAM_LIMIT:
+            meets, rows = _centralizer_meet(x, pb[1].values())
+            checks.append((f"streaming the full centralizer of the first's"
+                           f" power {d} meets each pivot of the second only"
+                           " in zero and the identity",
+                           rows == order and
+                           all(set(m) == trivial for m in meets),
+                           f"{rows} of {order} candidates streamed"))
+    return checks
+
+
 @dataclass(frozen=True)
 class Distance5Report:
     n: int
@@ -452,28 +514,24 @@ def verify_distance5(n: int, pair=None) -> Distance5Report:
     """Certify that a pair of full cycles on p^k points sits at distance
     exactly five in the commuting graph.
 
-    Lower bound: both endpoints are full cycles, so their graph
-    neighborhoods are their proper powers (verified by enumeration); no
-    power pair commutes (verified on the whole (n-1) x (n-1) grid); and
-    any interior vertex of a length-4 path would commute with both
-    q-th powers, whose joint centralizer is trivial (verified on a
-    Schreier tree of the group they generate, cross-checked by streaming
-    when feasible).
-    Upper bound: an explicit length-5 route.
+    Lower bound: both endpoints are full cycles, whose neighborhoods are
+    their proper powers (verified by enumeration), and the
+    ``_lower_bound_checks`` pass: no commuting pair on the whole
+    (n-1) x (n-1) power grid, and a transitive group centralized only by
+    {0, 1} for every pair of divisor powers.  At n=9 every power pair's
+    centralizer intersection is also streamed.  Upper bound: an explicit
+    length-5 route.  ``centralizer_order`` is that of alpha^(n/p).
     """
     p, k = _factor_odd_prime_power(n)
-    q = p ** (k - 1)
     alpha, beta = pair if pair is not None else prime_power_pair(p, k)
     if alpha == beta:
         raise ValueError("the two witnesses must be distinct cycles")
     if alpha.n != n or beta.n != n:
         raise ValueError("witness pair does not live on n points")
-    zero, ident = PInj.zero(n), PInj.identity(n)
-    checks = []
-
-    ca, cb = classify(alpha), classify(beta)
-    checks.append(("both witnesses are full cycles",
-                   ca.is_n_cycle and cb.is_n_cycle, f"n={n}"))
+    zero = PInj.zero(n)
+    checks = [("both witnesses are full cycles",
+               classify(alpha).is_n_cycle and classify(beta).is_n_cycle,
+               f"n={n}")]
 
     for name, g in (("first", alpha), ("second", beta)):
         cz = set(iter_permutation_centralizer(g))
@@ -481,38 +539,19 @@ def verify_distance5(n: int, pair=None) -> Distance5Report:
         checks.append((f"the {name} cycle's centralizer is its powers and zero",
                        cz == expect, f"{len(cz)} elements"))
 
-    apow = [power(alpha, s) for s in range(1, n)]
-    bpow = [power(beta, t) for t in range(1, n)]
-    bad = _commuting_pairs(n, apow, bpow)
-    checks.append(("no proper power of one commutes with a proper power of"
-                   " the other", bad == 0, f"{(n - 1) ** 2} pairs"))
-
-    delta, eta = apow[q - 1], bpow[q - 1]
-    classes = overlap_classes(delta, eta)
-    checks.append(("the two q-th powers interlock into a single overlap"
-                   " class", len(classes) == 1, f"{len(classes)} classes"))
-
-    joint = set(permutation_joint_centralizer(delta, eta))
-    checks.append(("joint centralizer of the q-th powers is trivial",
-                   joint == {zero, ident}, f"{len(joint)} elements"))
-
-    cz_order = permutation_centralizer_order(delta)
-    if cz_order <= _STREAM_LIMIT:
-        streamed, rows = _centralizer_meet(delta, eta)
-        checks.append(("streaming the full centralizer agrees with the"
-                       " Schreier-tree joint centralizer",
-                       set(streamed) == joint and rows == cz_order,
-                       f"{rows} of {cz_order} candidates streamed"))
+    checks += _lower_bound_checks(alpha, beta)
 
     if n == 9:
-        ok = all(set(_centralizer_meet(pa, pb)[0]) == {zero, ident}
-                 for pa in apow for pb in bpow)
+        bpow = [power(beta, t) for t in range(1, n)]
+        ok = all(set(meet) == {zero, PInj.identity(n)} for s in range(1, n)
+                 for meet in _centralizer_meet(power(alpha, s), bpow)[0])
         checks.append(("every power-pair centralizer intersection is"
                        " trivial", ok, "64 pairs"))
 
     path = build_path(alpha, beta)
     checks.append(("an explicit route of length five exists",
                    path.length == 5, repr(path)))
+    cz_order = permutation_centralizer_order(power(alpha, p ** (k - 1)))
     return Distance5Report(n, p, k, alpha, beta, tuple(checks), path,
                            cz_order)
 
@@ -608,50 +647,26 @@ def sym_counterexample() -> SymGapReport:
     return SymGapReport(n, (rho, sigma, tau), tuple(checks))
 
 
-def _proper_divisors(n: int):
-    return [d for d in range(2, n) if n % d == 0]
-
-
 def dolzan_distance_check(n: int = 10) -> SymGapReport:
     """Eliminate short symmetric-group paths between the full cycle and a
     cycle fixing one point, pinning their commuting-graph distance at five
-    or more: each neighborhood is a power group (verified), no power pair
-    commutes (verified on the grid), and for a length-4 path the interior
-    vertex would centralize a pair of power joins, whose only common total
-    centralizer element is the identity (verified for every divisor pair).
+    or more: each neighborhood is a power group (verified by enumeration)
+    and the ``_lower_bound_checks`` pass.  Needs n and n-1 composite.
     """
-    if not 4 <= n <= 16:
-        raise ValueError("supported range is 4 <= n <= 16")
     if _smallest_prime_factor(n) == n or \
             _smallest_prime_factor(n - 1) == n - 1:
         raise ValueError("need n and n-1 both composite: a cycle of prime"
                          " length has no proper power joins to pivot on")
-    ident = PInj.identity(n)
     alpha = PInj.cycle(n, range(n))
     beta = join(n, cycles=(tuple(range(n - 1)), (n - 1,)))
-    # powers 1..n of alpha and 1..n-1 of beta; each list ends at the identity
-    apow = [power(alpha, s) for s in range(1, n + 1)]
-    bpow = [power(beta, t) for t in range(1, n)]
     checks = []
-    ca = {g for g in iter_permutation_centralizer(alpha) if g.is_permutation()}
-    checks.append(("the full cycle's total centralizer is its power group",
-                   ca == set(apow), f"{len(ca)} elements"))
-    cb = {g for g in iter_permutation_centralizer(beta) if g.is_permutation()}
-    checks.append(("the point-fixing cycle's total centralizer is its power"
-                   " group", cb == set(bpow), f"{len(cb)} elements"))
-    bad = _commuting_pairs(n, apow[:-1], bpow[:-1])
-    checks.append(("no nonidentity power pair commutes", bad == 0,
-                   f"{(n - 1) * (n - 2)} pairs"))
-    for dm in _proper_divisors(n):
-        ga = apow[dm - 1]
-        for dk in _proper_divisors(n - 1):
-            meet, rows = _centralizer_meet(ga, bpow[dk - 1])
-            survivors = [g for g in meet if g.is_permutation()]
-            order = permutation_centralizer_order(ga)
-            checks.append((f"only the identity centralizes both the"
-                           f" {dm}-th and the {dk}-th power joins",
-                           survivors == [ident] and rows == order,
-                           f"{rows} of {order} candidates streamed"))
+    for name, g, m in (("full", alpha, n), ("point-fixing", beta, n - 1)):
+        total = {c for c in iter_permutation_centralizer(g)
+                 if c.is_permutation()}
+        expect = {power(g, s) for s in range(1, m + 1)}
+        checks.append((f"the {name} cycle's total centralizer is its power"
+                       " group", total == expect, f"{len(total)} elements"))
+    checks += _lower_bound_checks(alpha, beta)
     return SymGapReport(n, (alpha, beta), tuple(checks))
 
 
@@ -674,33 +689,15 @@ class SearchReport:
 def _full_cycle_pair_distance(a: PInj, b: PInj):
     """Exact commuting-graph distance between two full cycles, decided
     without materializing the graph: neighborhoods are power groups, so
-    short paths reduce to divisor-power centralizer questions.  The two
-    power groups meet beyond the identity exactly when b^(n/p) is a power
-    of a^(n/p) for a prime p | n (their subgroups of order p coincide).
-    A power a^s and a^gcd(s, n) are powers of each other, so after that
-    only a^d for d = 1 or a proper divisor of n matters."""
-    n = a.n
+    the distance is that of the first failing ``_far_pair_checks`` check;
+    if none fails, 5 on a composite ground set and infinite on a prime
+    one, where the two cycles lie in different components."""
     if a == b:
         return 0
-    if commutes_naive(a, b):
-        return 1
-    divisors = [1] + _proper_divisors(n)
-    adiv = [power(a, d) for d in divisors]
-    bdiv = [power(b, d) for d in divisors]
-    primes = [p for p in divisors[1:] + [n] if _smallest_prime_factor(p) == p]
-    if any(power(b, n // p) in {power(a, k * n // p) for k in range(1, p)}
-           for p in primes):
-        return 2
-    if _commuting_pairs(n, adiv, bdiv):
-        return 3
-    for ga in adiv[1:]:
-        for gb in bdiv[1:]:
-            if (len(overlap_classes(ga, gb)) > 1
-                    or len(permutation_joint_centralizer(ga, gb)) > 2):
-                return 4
-    if _smallest_prime_factor(n) == n:
-        return math.inf
-    return 5
+    for _, ok, _, dist in _far_pair_checks(_powers(a), _powers(b)):
+        if not ok:
+            return dist
+    return math.inf if _smallest_prime_factor(a.n) == a.n else 5
 
 
 def search_open(n: int, samples: int = 100, seed: int = 0) -> SearchReport:

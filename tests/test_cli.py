@@ -198,6 +198,11 @@ def test_force_keeps_the_lower_bound_of_a_suite(capsys):
                                          str(least - 1), "--force"])
         assert code == 2, suite
         assert "error:" in err and f"n >= {least}" in err, suite
+    # the lambda suite's recurrence starts at 4
+    for max_n in ("3", "0"):
+        code, _, err = run_main(capsys, ["verify", "lambda", "--max-n",
+                                         max_n, "--force"])
+        assert code == 2 and "error:" in err and "n >= 4" in err
     code, out, _ = run_main(capsys, ["extremal", "--n", "2", "--force",
                                      "--json"])
     assert code == 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import deque
 
 import pytest
@@ -243,7 +244,7 @@ def test_centralizer_meet_matches_oracle():
     pairs.append((power(alpha, 3), PInj.chain(9, (0, 1, 2))))
     hits = 0
     for x, y in pairs:
-        survivors, rows = wit._centralizer_meet(x, y)
+        (survivors,), rows = wit._centralizer_meet(x, [y])
         expect = [g for g in oracle_permutation_centralizer(x)
                   if oracle_commutes(g, y)]
         assert len(survivors) == len(set(survivors))
@@ -269,7 +270,7 @@ def test_joint_centralizer_matches_streaming_n15():
                 if len(commute.overlap_classes(ga, gb)) != 1:
                     continue
                 joint = commute.permutation_joint_centralizer(ga, gb)
-                streamed, rows = wit._centralizer_meet(ga, gb)
+                (streamed,), rows = wit._centralizer_meet(ga, [gb])
                 assert set(joint) == set(streamed)
                 assert rows == commute.permutation_centralizer_order(ga)
                 sizes.append(len(joint))
@@ -303,7 +304,7 @@ def test_verify_distance5_nine_points():
     assert rep.passed and rep.distance == 5
     assert (rep.n, rep.p, rep.k) == (9, 3, 2)
     assert rep.centralizer_order == 352
-    assert len(rep.checks) == 9
+    assert len(rep.checks) == 10
     assert rep.path.length == 5
     assert rep.path.vertices[0] == rep.alpha
     assert rep.path.vertices[-1] == rep.beta
@@ -335,7 +336,8 @@ def test_verify_distance5_counts_streamed_rows(monkeypatch):
 def test_dolzan_distance_check_counts_streamed_rows(monkeypatch):
     lossy_stream(monkeypatch)
     rep = wit.dolzan_distance_check(10)
-    streamed = [c for c in rep.checks if c[0].startswith("only the identity")]
+    streamed = [c for c in rep.checks
+                if c[0].startswith("streaming the full centralizer")]
     assert streamed and not rep.passed
     for label, ok, detail in streamed:
         rows, order = map(int, detail.split(" candidates")[0].split(" of "))
@@ -352,6 +354,28 @@ def test_verify_distance5_rejections():
     for n in (8, 15, 3, 12):
         with pytest.raises(ValueError):
             wit.verify_distance5(n)
+
+
+def test_certificate_rejects_closer_pairs():
+    # full cycles on nine points at distances 1 to 4: a cycle with its
+    # square, with another cube root of its cube, and the first search
+    # hits at distances 3 and 4
+    a, _ = wit.prime_power_pair(3, 2)
+    cyc = decompose(power(a, 3)).cycles
+    root = PInj.cycle(9, [c[(t + j % 2) % 3]
+                          for t in range(3) for j, c in enumerate(cyc)])
+    pairs = [(a, power(a, 2)), (a, root)]
+    hits = wit.search_open(9, samples=200, seed=0).pairs
+    pairs += [next((parse(sa, 9), parse(sb, 9)) for sa, sb, d in hits
+                   if d == dist) for dist in (3, 4)]
+    for dist, (a, b) in enumerate(pairs, 1):
+        assert oracle_full_cycle_distance(a, b) == dist
+        rep = wit.verify_distance5(9, pair=(a, b))
+        assert not rep.passed and rep.distance is None
+        engine = wit._far_pair_checks(wit._powers(a), wit._powers(b))
+        label, _, _, failed_at = next(c for c in engine if not c[1])
+        assert failed_at == dist
+        assert next(c for c in rep.checks if not c[1])[0] == label
 
 
 # -- cycle actions -----------------------------------------------------------------
@@ -395,10 +419,22 @@ def test_sym_counterexample():
 def test_dolzan_distance_check():
     rep = wit.dolzan_distance_check(10)
     assert rep.passed
-    assert len(rep.checks) == 5  # 3 fixed plus divisor pairs (2,3), (5,3)
-    for n in (11, 17, 3, 2):
+    # 2 neighborhoods, 3 power checks, divisor pairs (2,3) and (5,3), and
+    # streams of the 2nd and 5th powers
+    assert len(rep.checks) == 9
+    for n in (11, 17, 3, 2, 33):
         with pytest.raises(ValueError):
             wit.dolzan_distance_check(n)
+
+
+@pytest.mark.parametrize("n", [9, 10, 15, 16, 21, 22, 25, 26, 27, 28])
+def test_dolzan_distance_check_range(n):
+    # every n up to the ground cap with n and n-1 composite; n=16 must not
+    # stream the 101,817,089-row centralizer of its 8th power
+    t0 = time.perf_counter()
+    rep = wit.dolzan_distance_check(n)
+    assert rep.passed and rep.n == n
+    assert n != 16 or time.perf_counter() - t0 < 1.0
 
 
 # -- sampling ----------------------------------------------------------------------
