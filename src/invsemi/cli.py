@@ -36,11 +36,11 @@ EXTREMAL_ORDER = {3: 3, 4: 7, 5: 13, 6: 34, 7: 73}
 EXTREMAL_COUNT = {4: 6, 5: 20, 6: 20, 7: 70}
 
 # Guarded ranges of n; --force lifts each, but a suite's range starts at
-# the least n its reference values cover.  The extremal search's range is
-# ``construct.EXTREMAL_NS``.
+# the least n its reference values cover.
 GRAPH_NS = range(7)      # graph materialization, general centralizers
 GRAPH_SUITE_NS = range(3, GRAPH_NS.stop)  # the diameter and pair suites
-CLIQUE_NS = range(2, 5)  # max-clique uniqueness enumeration
+CLIQUE_NS = range(2, GRAPH_NS.stop)  # max-clique uniqueness enumeration
+EXTREMAL_NS = range(3, 8)  # the maximum commutative nilpotent search
 DISTANCE5_NS = (9, 25, 27)
 CENTRALIZER_LIST_CAP = 100_000  # centralizer --list, in elements
 
@@ -194,9 +194,9 @@ class CliContext:
 
     def extremal(self, n: int) -> construct.ExtremalReport:
         """The maximum commutative nilpotent search at n, guarded."""
-        self.guard("the extremal search", n, construct.EXTREMAL_NS)
+        self.guard("the extremal search", n, EXTREMAL_NS)
         return construct.max_commutative_nilpotent(
-            n, budget_seconds=self.budget_seconds, force=self.force)
+            n, budget_seconds=self.budget_seconds)
 
 
 # -- small independent oracles ---------------------------------------------------
@@ -281,7 +281,7 @@ def _suite_balanced_null(s: SuiteReport, p: dict, ctx: CliContext):
 
 def _suite_extremal(s: SuiteReport, p: dict, ctx: CliContext):
     n = p.get("n", 4)
-    ctx.guard("the extremal suite", n, construct.EXTREMAL_NS, floor=True)
+    ctx.guard("the extremal suite", n, EXTREMAL_NS, floor=True)
     box = {}
 
     def search():
@@ -333,9 +333,9 @@ def _suite_clique(s: SuiteReport, p: dict, ctx: CliContext):
     box = {}
 
     def search():
-        box["best"] = graphmod.clique_number(
+        box["cliques"] = graphmod.maximum_cliques(
             g, budget_seconds=ctx.budget_seconds)
-        return box["best"][0]
+        return len(box["cliques"][0])
 
     s.check(f"clique number of the full commuting graph at n={n}",
             "clique-formula", REFERENCE, 2 ** n - 2, search)
@@ -348,11 +348,9 @@ def _suite_clique(s: SuiteReport, p: dict, ctx: CliContext):
                 g.adjacent(i, j) for i, j in itertools.combinations(idx, 2)))
 
     def closed_max_cliques():
-        cliques = graphmod.maximum_cliques(
-            g, target=box["best"][0], budget_seconds=ctx.budget_seconds)
         zero, ident = pinj.PInj.zero(n), pinj.PInj.identity(n)
         out = []
-        for c in cliques:
+        for c in box["cliques"]:
             elems = [g.vertex_element(i) for i in c] + [zero, ident]
             ss = construct.SemigroupSet.from_elements(n, elems)
             if ss.is_closed():
@@ -853,8 +851,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ideal = _option("--ideal", type=int, default=None, metavar="R",
                     help="restrict to the ideal of rank at most R")
     budget = _option("--budget-seconds", type=float, default=None,
-                     help="bounds the clique search only, not the graph"
-                          " build; exit 3 on overrun, no checkpoint kept")
+                     help="one deadline for the whole clique search (the"
+                          " clique number, then any maximum-clique"
+                          " enumeration), not the graph build; exit 3 on"
+                          " overrun, no checkpoint kept")
     cache = _option("--cache-dir", default=None,
                     help="directory for packed graph caches")
     force = _option("--force", action="store_true",

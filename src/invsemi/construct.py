@@ -35,7 +35,6 @@ __all__ = [
     "SemigroupSet",
     "SemigroupFlags",
     "ExtremalReport",
-    "EXTREMAL_NS",
     "enumerate_elements",
     "count_elements",
     "balanced_null_order",
@@ -287,9 +286,6 @@ def closure(seed, n=None, max_size: int = 1_000_000) -> SemigroupSet:
 # -- extremal commutative nilpotent subsemigroups ------------------------------
 
 
-EXTREMAL_NS = range(3, 8)  # where max_commutative_nilpotent runs unforced
-
-
 @dataclass(frozen=True)
 class ExtremalReport:
     n: int
@@ -299,28 +295,23 @@ class ExtremalReport:
     elapsed_s: float = field(compare=False, default=0.0)
 
 
-def max_commutative_nilpotent(n: int, budget_seconds=None,
-                              force: bool = False) -> ExtremalReport:
+def max_commutative_nilpotent(n: int, budget_seconds=None) -> ExtremalReport:
     """Search the commuting graph on nonzero nilpotents for all maximum
     cliques, then close each under product (the closure must not grow).
 
-    Exhaustive and exact; guarded to n in ``EXTREMAL_NS``, where the graph
-    sizes are 72 to 37632 vertices (``force`` lifts the guard: still exact,
-    but the search may not finish in reasonable time).  The graph's vertex
-    cap still holds, and is checked before any element is enumerated.
+    Exhaustive and exact at every n; the graph has 72 to 37632 vertices
+    for 3 <= n <= 7.  The graph build is not budgeted: ``budget_seconds``
+    is one deadline for both clique phases, which can overrun it by at
+    most one root branch each (see ``graph.maximum_cliques``).  The
+    graph's vertex cap holds, and is checked before any element is
+    enumerated, so n = 8 is rejected at once.
     """
     from . import graph as _graph
 
-    if n not in EXTREMAL_NS and not force:
-        raise ValueError(f"supported for {EXTREMAL_NS.start} <= n <="
-                         f" {EXTREMAL_NS.stop - 1}; pass force=True to try"
-                         " anyway")
     t0 = time.perf_counter()
     # the zero map commutes with every vertex; each witness adds it back
     g = _graph.build_graph(n, "nilpotent", center="ideal")
-    size, _ = _graph.clique_number(g, budget_seconds=budget_seconds)
-    cliques = _graph.maximum_cliques(g, target=size, vertex_cap=50_000,
-                                     budget_seconds=budget_seconds)
+    cliques = _graph.maximum_cliques(g, budget_seconds=budget_seconds)
     zero = PInj.zero(n)
     witnesses = []
     for idx in cliques:
@@ -331,5 +322,5 @@ def max_commutative_nilpotent(n: int, budget_seconds=None,
             raise AssertionError("maximum clique is not product-closed")
         witnesses.append(sg)
     witnesses.sort(key=lambda s: s.ids)
-    return ExtremalReport(n, size + 1, len(witnesses), tuple(witnesses),
-                          time.perf_counter() - t0)
+    return ExtremalReport(n, len(cliques[0]) + 1, len(witnesses),
+                          tuple(witnesses), time.perf_counter() - t0)

@@ -382,11 +382,10 @@ def diameter(g: CommutingGraph) -> DistanceResult:
     nverts = g.num_vertices
     if nverts == 0:
         raise ValueError("empty graph has no diameter")
-    rows = g.rows()
-    _, seen0 = _bfs(rows, nverts, 0)
-    if seen0.bit_count() < nverts:
+    ecc, reached = eccentricities(g)
+    if reached[0] < nverts:
         return DistanceResult(INFINITY, None, None, tuple(components(g)))
-    ecc, _ = eccentricities(g)
+    rows = g.rows()
     src = int(np.argmax(ecc))
     levels, _ = _bfs(rows, nverts, src)
     dst = int(_bit_indices(levels[-1], nverts)[0])
@@ -541,11 +540,14 @@ def _run_roots(rows, roots, floor, target, deadline):
     unfinished when the deadline passed.
 
     The first root always runs to the end, so every call makes progress
-    however small its budget.  Cliques found in an unfinished root are
-    dropped: resuming expands that root again from the start.
+    however small its budget.  The clock is read before each later root
+    and every 2048 nodes inside one.  Cliques found in an unfinished root
+    are dropped: resuming expands that root again from the start.
     """
     run = _CliqueRun(rows, floor, target)
     for pos, i in enumerate(roots):
+        if pos and deadline is not None and time.perf_counter() > deadline:
+            return run, tuple(roots[pos:])
         cand = rows[i] >> (i + 1) << (i + 1)
         kept = len(run.found)
         try:
@@ -603,41 +605,40 @@ def clique_number(g: CommutingGraph, budget_seconds=None,
     return len(best), tuple(best)
 
 
-def maximum_cliques(g: CommutingGraph, target: int, vertex_cap: int = 2500,
-                    budget_seconds=None,
+def maximum_cliques(g: CommutingGraph, budget_seconds=None,
                     resume: CliqueCheckpoint | None = None):
-    """All cliques of size ``target`` (which must be the clique number),
-    as sorted tuples of vertex indices, sorted lexicographically.
+    """Every maximum clique, as sorted tuples of vertex indices, sorted
+    lexicographically; an empty graph has the one clique ``()``.
 
-    ``vertex_cap`` guards against accidental huge inputs; raise it
-    deliberately for larger graphs.  Budgets and checkpoints work as in
-    ``clique_number``: each call finishes at least one root branch, so it
-    can overrun its budget by at most one branch.
+    Finds the clique number with ``clique_number``, then enumerates every
+    clique of that size over the matching core.  Both phases share one
+    deadline.  A budget overrun raises BudgetExceeded carrying a
+    checkpoint from whichever phase was running; pass it back as
+    ``resume``.  Each phase finishes at least one root branch per call,
+    so a call can overrun its budget by at most one root branch per phase.
     """
-    nverts = g.num_vertices
-    if nverts > vertex_cap:
-        raise ValueError(f"{nverts} vertices exceeds vertex_cap={vertex_cap}")
-    if target < 1:
-        raise ValueError("target must be at least 1")
     deadline = (time.perf_counter() + budget_seconds
                 if budget_seconds is not None else None)
-    if resume is not None:
-        if resume.phase != "enum" or resume.target != target:
-            raise ValueError("checkpoint does not match this enumeration")
-        rows, order = _resumed_rows(g, resume)
-        roots = resume.roots_remaining
-        found = list(resume.found)
-    else:
-        alive = _core_mask(g.packed, min_deg=target - 1)
+    if resume is None or resume.phase == "max":
+        left = None if deadline is None else deadline - time.perf_counter()
+        size, _ = clique_number(g, budget_seconds=left, resume=resume)
+        if not size:
+            return [()]
+        alive = _core_mask(g.packed, min_deg=size - 1)
         rows, order = _relabeled_rows(g, alive)
         roots = range(len(rows))
         found = []
-    run, unfinished = _run_roots(rows, roots, target - 1, target, deadline)
+    else:
+        size = resume.target
+        rows, order = _resumed_rows(g, resume)
+        roots = resume.roots_remaining
+        found = list(resume.found)
+    run, unfinished = _run_roots(rows, roots, size - 1, size, deadline)
     found += [tuple(sorted(order[i] for i in clique)) for clique in run.found]
     found.sort()
     if unfinished:
         raise BudgetExceeded(CliqueCheckpoint(
-            "enum", order, unfinished, (), target, tuple(found)))
+            "enum", order, unfinished, (), size, tuple(found)))
     for clique in found:
         for x in range(len(clique)):
             for y in range(x + 1, len(clique)):

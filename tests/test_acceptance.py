@@ -89,7 +89,7 @@ def test_c03_extremal_nilpotent_search(ns, budget):
 
 def test_c04_clique_numbers_and_uniqueness(full_graphs):
     t0 = timed()
-    for n in (3, 4):
+    for n in (3, 4, 5):
         g = full_graphs(n)
         target = 2 ** n - 2
         size, witness = gm.clique_number(g)
@@ -101,7 +101,9 @@ def test_c04_clique_numbers_and_uniqueness(full_graphs):
             assert g.adjacent(a, b)
         zero, ident = PInj.zero(n), PInj.identity(n)
         closed = []
-        for clique in gm.maximum_cliques(g, target=target):
+        cliques = gm.maximum_cliques(g)
+        assert {len(c) for c in cliques} == {target}
+        for clique in cliques:
             els = [g.vertex_element(i) for i in clique]
             s = construct.SemigroupSet.from_elements(n, els + [zero, ident])
             if s.is_closed():

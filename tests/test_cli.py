@@ -125,7 +125,7 @@ def test_guard_exit_codes(capsys):
                  ["extremal", "--n", "9"],
                  ["graph", "--n", "8"],
                  ["verify", "full-diameter", "--n", "7"],
-                 ["verify", "clique", "--n", "5"],
+                 ["verify", "clique", "--n", "7"],
                  ["verify", "distance5", "--n", "12"],
                  ["centralizer", "--n", "8", "[1 2]"],
                  ["witness", "--n", "15", "--pair", "prime-power"]):
@@ -207,6 +207,20 @@ def test_force_keeps_the_lower_bound_of_a_suite(capsys):
                                      "--json"])
     assert code == 0
     assert (json.loads(out)["max_order"], json.loads(out)["count"]) == (2, 2)
+
+
+def test_extremal_below_two_points(capsys):
+    # I(1) has no nonzero nilpotent: the one maximum clique is empty, and
+    # its witness is the zero semigroup {0}
+    code, out, _ = run_main(capsys, ["extremal", "--n", "1", "--force",
+                                     "--json", "--list"])
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["max_order"], rep["count"]) == (1, 1)
+    assert rep["witnesses"] == [["n=1 order=1", "0"]]
+    # an uncaught exception would propagate out of main
+    code, _, _ = run_main(capsys, ["extremal", "--n", "0", "--force"])
+    assert code in (0, 2)
 
 
 def test_parse_error_exit_code(capsys):

@@ -228,8 +228,6 @@ def test_max_commutative_nilpotent_witnesses_n3():
 def test_extremal_guard():
     with pytest.raises(ValueError):
         max_commutative_nilpotent(8)
-    with pytest.raises(ValueError):
-        max_commutative_nilpotent(2)
 
 
 def test_extremal_cap_is_checked_before_enumerating(monkeypatch):
@@ -239,4 +237,4 @@ def test_extremal_cap_is_checked_before_enumerating(monkeypatch):
     monkeypatch.setattr(construct, "elements_matrix", refuse, raising=False)
     monkeypatch.setattr(gm, "elements_matrix", refuse)
     with pytest.raises(ValueError, match="exceeds cap"):
-        max_commutative_nilpotent(8, force=True)
+        max_commutative_nilpotent(8)

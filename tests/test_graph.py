@@ -11,6 +11,7 @@ from invsemi._bulk import (adjacency_packed, conjugacy_classes, decode,
                            elements_matrix, iter_matrix_chunks,
                            monoid_decoder, pack_bool_rows, row_element)
 from invsemi.commute import iter_permutation_centralizer_chunks
+from invsemi.construct import max_commutative_nilpotent
 from invsemi.pinj import (PInj, UNDEF, decompose, element_from_id,
                           element_id, monoid_order, stratum_sizes)
 
@@ -387,6 +388,24 @@ def test_diameter_values(full_graphs):
     assert res5.value == gm.INFINITY
 
 
+def test_diameter_reads_connectivity_from_eccentricities(ideal_graphs,
+                                                         monkeypatch):
+    # one BFS per conjugacy class, then one for the geodesic
+    g = ideal_graphs(6, 3)
+    classes = len(conjugacy_classes(g.imgs)[0])
+    assert classes == 17
+    calls = []
+    bfs = gm._bfs
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(gm, "_bfs", counted)
+    assert gm.diameter(g).value == 3
+    assert len(calls) == classes + 1
+
+
 def test_diameter_path_attains_value(full_graphs):
     g = full_graphs(4)
     res = gm.diameter(g)
@@ -427,19 +446,17 @@ def test_maximum_cliques_match_brute(full_graphs):
     g = full_graphs(3)
     adj = brute_adjacency(graph_elements(g))
     want_size, want_cliques = brute_max_cliques(adj)
-    got = gm.maximum_cliques(g, target=want_size)
+    got = gm.maximum_cliques(g)
     assert got == sorted(got)
+    assert {len(c) for c in got} == {want_size}
     assert {frozenset(c) for c in got} == want_cliques
-    with pytest.raises(ValueError):
-        gm.maximum_cliques(g, target=0)
-    with pytest.raises(AssertionError, match="target below true clique"):
-        gm.maximum_cliques(g, target=want_size - 1)
 
 
-def test_maximum_cliques_vertex_cap(full_graphs):
-    g = full_graphs(4)
-    with pytest.raises(ValueError):
-        gm.maximum_cliques(g, target=14, vertex_cap=100)
+def test_maximum_cliques_of_empty_graph():
+    g = gm.build_graph(1, "nilpotent", center="ideal")
+    assert g.num_vertices == 0
+    assert gm.clique_number(g) == (0, ())
+    assert gm.maximum_cliques(g) == [()]
 
 
 def test_clique_on_synthetic_graph():
@@ -481,12 +498,40 @@ def test_zero_budget_resume_makes_progress():
     # Both phases have a root branch here that outlasts any zero budget.
     g = synthetic_graph(160, 0.65, seed=42)
     size, wit = gm.clique_number(g)
-    cliques = gm.maximum_cliques(g, target=size)
+    cliques = gm.maximum_cliques(g)
+    assert {len(c) for c in cliques} == {size}
     max_trips = g.num_vertices + 1
     assert resume_to_end(lambda ckpt: gm.clique_number(
         g, budget_seconds=0, resume=ckpt), max_trips) == (size, wit)
+    # a run of both phases resumes from a checkpoint of either
     assert resume_to_end(lambda ckpt: gm.maximum_cliques(
-        g, target=size, budget_seconds=0, resume=ckpt), max_trips) == cliques
+        g, budget_seconds=0, resume=ckpt), 2 * max_trips) == cliques
+
+
+def test_both_clique_phases_share_one_deadline(monkeypatch):
+    # A fake clock that moves only when the clique number is done: the
+    # enumeration must find the deadline already passed.
+    clock = [0.0]
+    monkeypatch.setattr(gm.time, "perf_counter", lambda: clock[0])
+    clique_number = gm.clique_number
+
+    def slow_clique_number(*args, **kwargs):
+        result = clique_number(*args, **kwargs)
+        clock[0] += 10.0
+        return result
+
+    monkeypatch.setattr(gm, "clique_number", slow_clique_number)
+    g = synthetic_graph(120, 0.6, seed=11)
+    with pytest.raises(gm.BudgetExceeded) as exc:
+        gm.maximum_cliques(g, budget_seconds=5.0)
+    ckpt = exc.value.checkpoint
+    assert ckpt.phase == "enum"
+    assert len(ckpt.order) - len(ckpt.roots_remaining) == 1
+    assert gm.maximum_cliques(g, resume=ckpt) == gm.maximum_cliques(g)
+    # the extremal search runs both phases under its one budget too
+    with pytest.raises(gm.BudgetExceeded) as exc:
+        max_commutative_nilpotent(5, budget_seconds=5.0)
+    assert exc.value.checkpoint.phase == "enum"
 
 
 def test_budget_message_reports_progress():
@@ -502,9 +547,12 @@ def test_budget_message_reports_progress():
     assert str(exc.value) == (
         f"time budget exceeded after {done}/{total} root branches;"
         f" best clique so far has {len(ckpt.best)} vertices")
-    with pytest.raises(gm.BudgetExceeded) as exc:
-        gm.maximum_cliques(g, target=size, budget_seconds=0)
-    ckpt = exc.value.checkpoint
+    ckpt = None
+    while ckpt is None or ckpt.phase == "max":
+        with pytest.raises(gm.BudgetExceeded) as exc:
+            gm.maximum_cliques(g, budget_seconds=0, resume=ckpt)
+        ckpt = exc.value.checkpoint
+    assert ckpt.target == size
     total = len(ckpt.order)
     done = total - len(ckpt.roots_remaining)
     assert 1 <= done < total and ckpt.found
