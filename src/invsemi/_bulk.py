@@ -17,10 +17,13 @@ adjacency, centralizers and power grids; ``element_rows`` and
 ``row_element`` convert between ``PInj`` objects and rows.
 
 The adjacency kernel exploits that conjugation by a permutation of the
-ground set preserves commutation.  On a row set closed under conjugation it
-compares only one representative row per cycle-chain type against all rows
-with dense gathers, and builds every other row by conjugating the columns
-of its representative's row; other row sets compare every row densely.
+ground set preserves commutation.  Conjugation by the transposition (0 1)
+and by the n-cycle, which generate S_n, map the rows to row indices; the
+conjugacy classes of a row set closed under both are the orbits of the two
+maps.  The kernel compares one representative row per class against all
+rows with dense gathers, and builds every other row by conjugating the
+columns of its representative's row; other row sets compare every row
+densely.
 """
 
 from __future__ import annotations
@@ -78,7 +81,9 @@ def _filter_mask(m: np.ndarray, n: int, filt: str) -> np.ndarray:
 
 # -- the index decoder --------------------------------------------------------
 
-_CHUNK_ROWS = 1 << 14  # rows per decoded chunk
+# rows per decoded chunk; at n=25 a chunk's arrays stay near 100 KB, well
+# below glibc's mmap and trim thresholds, so streams take no page faults
+_CHUNK_ROWS = 1 << 12
 
 
 def _bijections(r: int) -> np.ndarray:
@@ -233,41 +238,49 @@ def pack_bool_rows(rows: np.ndarray, width: int) -> np.ndarray:
     return packed.view(np.uint64).reshape(rows.shape[0], words)
 
 
-def _cycle_chain_types(m: np.ndarray, n: int) -> np.ndarray:
-    """Conjugacy type of each row: the number of L-cycles, then the number
-    of chains with L points, for L = 1..n.  Fixed points are 1-cycles and
-    points outside domain and image are 1-point chains."""
-    big_n = m.shape[0]
-    aug = _augmented(m)
-    points = np.arange(n)
-    v = m.astype(np.int64)
-    cycle_len = np.zeros((big_n, n), np.int64)
-    steps = np.zeros((big_n, n), np.int64)
-    for k in range(1, n + 1):
-        cycle_len[(v == points) & (cycle_len == 0)] = k
-        steps += v != n
-        v = np.take_along_axis(aug, v, axis=1).astype(np.int64)
-    in_image = np.zeros((big_n, n + 1), dtype=bool)
-    np.put_along_axis(in_image, m.astype(np.int64), True, axis=1)
-    chain_len = np.where(in_image[:, :n], 0, steps + 1)
-    lengths = np.arange(1, n + 1)
-    cycles = (cycle_len[:, :, None] == lengths).sum(axis=1) // lengths
-    chains = (chain_len[:, :, None] == lengths).sum(axis=1)
-    return np.concatenate([cycles, chains], axis=1)
-
-
-def _class_size(n: int, key) -> int:
-    """Number of elements of I(n) with the cycle-chain type ``key``."""
-    denom = 1
-    for length, (c, h) in enumerate(zip(key[:n], key[n:]), 1):
-        denom *= length ** c * math.factorial(c) * math.factorial(h)
-    return math.factorial(n) // denom
-
-
 def _row_codes(m: np.ndarray) -> np.ndarray:
     """Base-(n+1) code of each row: equal codes exactly for equal rows."""
     n = m.shape[1]
     return m.astype(np.int64) @ (n + 1) ** np.arange(n, dtype=np.int64)
+
+
+def _conjugation_maps(m: np.ndarray) -> dict:
+    """{s: p_s} for s the transposition (0 1) and the n-cycle x ↦ x+1,
+    which generate S_n, where p_s maps each row u to the row index of
+    s·u·s⁻¹: (s·u·s⁻¹)(s(x)) = s(u(x)).  Empty unless n >= 2 and the rows
+    are distinct and closed under both conjugations."""
+    big_n, n = m.shape
+    codes = _row_codes(m)
+    order = np.argsort(codes)
+    codes = codes[order]
+    if n < 2 or (codes[1:] == codes[:-1]).any():
+        return {}
+    ident = tuple(range(n))
+    maps = {}
+    for s in ((1, 0) + ident[2:], ident[1:] + (0,)):
+        conj = np.empty_like(m)
+        conj[:, s] = np.array(s + (n,), dtype=np.int8)[m]
+        want = _row_codes(conj)
+        at = np.minimum(np.searchsorted(codes, want), big_n - 1)
+        if (codes[at] != want).any():
+            return {}
+        # int32 keeps the S_n walk's frontier (up to ~570 arrays at n=7)
+        # at half the memory
+        maps[s] = order[at].astype(np.int32)
+    return maps
+
+
+def _orbits(maps: dict, big_n: int):
+    """(representatives, inverse) of the orbits of the group the maps
+    generate: pull the lowest index along the maps until nothing moves."""
+    low = every = np.arange(big_n)
+    while True:
+        pulled = np.minimum.reduce([low] + [low[g] for g in maps.values()])
+        if (pulled == low).all():
+            break
+        low = pulled
+    reps = np.flatnonzero(low == every)
+    return reps, np.searchsorted(reps, low)
 
 
 def conjugacy_classes(m: np.ndarray):
@@ -275,47 +288,27 @@ def conjugacy_classes(m: np.ndarray):
     per row, the position of its class's representative.
 
     Conjugation by a permutation of the ground set preserves commutation,
-    so on a row set closed under it each cycle-chain type is one orbit of
-    graph automorphisms.  The set is closed exactly when its rows are
-    distinct and every type present has all its elements as rows.
-    Otherwise every row is its own representative.
+    so on a row set closed under it each class, an orbit of the conjugation
+    maps by (0 1) and by the n-cycle, is one orbit of graph automorphisms.
+    Representatives come out in ascending index order.  A set with repeated
+    rows or a conjugate outside it has every row as its own representative.
     """
-    big_n, n = m.shape
-    keys, first, inverse, counts = np.unique(
-        _cycle_chain_types(m, n), axis=0, return_index=True,
-        return_inverse=True, return_counts=True)
-    if (len(np.unique(_row_codes(m))) == big_n
-            and all(c == _class_size(n, k)
-                    for k, c in zip(keys.tolist(), counts.tolist()))):
-        return first, inverse.reshape(-1)
-    every = np.arange(big_n)
-    return every, every
+    return _orbits(_conjugation_maps(m), len(m))
 
 
-def _conjugation_index(m: np.ndarray, sorted_codes: np.ndarray,
-                       order: np.ndarray, tau) -> np.ndarray:
-    """Row index of tau·u·tau⁻¹ for every row u of a closed set:
-    (tau·u·tau⁻¹)(tau(x)) = tau(u(x))."""
-    n = m.shape[1]
-    tau_aug = np.array(list(tau) + [n], dtype=np.int8)
-    conj = np.empty_like(m)
-    conj[:, list(tau)] = tau_aug[m]
-    return order[np.searchsorted(sorted_codes, _row_codes(conj))]
-
-
-def _conjugate_rows(m: np.ndarray, out: np.ndarray, reps: np.ndarray,
-                    inverse: np.ndarray) -> None:
+def _conjugate_rows(out: np.ndarray, reps: np.ndarray, inverse: np.ndarray,
+                    maps: dict) -> None:
     """Fill every non-representative row of ``out`` from its class
     representative's row.
 
-    Each permutation s of the ground set induces an automorphism
-    p_s(u) = index of s·u·s⁻¹, so row p_s⁻¹(r) is row r with its columns
-    permuted by p_s.  Walk S_n breadth-first from the identity through the
-    transposition (0 1) and the n-cycle, getting p_{g∘s} = p_g[p_s] by one
+    Each permutation s of the ground set induces an automorphism p_s, so
+    row p_s⁻¹(r) is row r with its columns permuted by p_s.  Walk S_n
+    breadth-first from the identity through the two generators of
+    ``maps`` (see ``_conjugation_maps``), getting p_{g∘s} = p_g[p_s] by one
     gather, and stop once every row is filled.  The diagonal stays clear:
     the representative's own bit lands on the row's own column.
     """
-    big_n, n = m.shape
+    big_n = len(out)
     filled = np.zeros(big_n, dtype=bool)
     filled[reps] = True
     if filled.all():
@@ -323,19 +316,12 @@ def _conjugate_rows(m: np.ndarray, out: np.ndarray, reps: np.ndarray,
     rep_of = reps[inverse]
     rep_bits = np.unpackbits(out[reps].view(np.uint8), axis=1, count=big_n,
                              bitorder="little").view(bool)
-    codes = _row_codes(m)
-    order = np.argsort(codes)
-    ident = tuple(range(n))
-    # index arrays as int32 keep the walk's frontier (up to ~570 arrays at
-    # n=7) at half the memory
-    gens = {tau: _conjugation_index(m, codes[order], order,
-                                    tau).astype(np.int32)
-            for tau in ((1, 0) + ident[2:], ident[1:] + (0,))}
+    ident = tuple(range(len(next(iter(maps)))))  # maps is not empty here
     seen = {ident}
     frontier = deque([(ident, np.arange(big_n, dtype=np.int32))])
     while not filled.all():
         perm, p = frontier.popleft()
-        for tau, g in gens.items():
+        for tau, g in maps.items():
             nxt = tuple(tau[x] for x in perm)
             if nxt in seen:
                 continue
@@ -354,19 +340,20 @@ def _conjugate_rows(m: np.ndarray, out: np.ndarray, reps: np.ndarray,
 def adjacency_packed(m: np.ndarray) -> np.ndarray:
     """Commutation adjacency of all row pairs, bit-packed, diagonal clear.
 
-    Only one representative row per conjugacy class is compared densely
-    against the whole matrix; every other row is its representative's row
-    with the columns conjugated (see ``_conjugate_rows``).  A row set not
-    closed under conjugation has every row as its own representative, so
-    then every row is compared densely.
+    Only one representative row per conjugacy class, an orbit of the two
+    maps of ``_conjugation_maps``, is compared densely against the whole
+    matrix; every other row is its representative's row with the columns
+    conjugated (see ``_conjugate_rows``).  A row set not closed under
+    conjugation has no maps, so then every row is compared densely.
     """
     big_n = len(m)
     out = np.empty((big_n, (big_n + 63) // 64), dtype=np.uint64)
-    reps, inverse = conjugacy_classes(m)
+    maps = _conjugation_maps(m)
+    reps, inverse = _orbits(maps, big_n)
     for s in range(0, len(reps), _ADJACENCY_BLOCK):
         rows = reps[s:s + _ADJACENCY_BLOCK]
         eq = commuting(m[rows], m)
         eq[np.arange(len(rows)), rows] = False
         out[rows] = pack_bool_rows(eq, big_n)
-    _conjugate_rows(m, out, reps, inverse)
+    _conjugate_rows(out, reps, inverse, maps)
     return out

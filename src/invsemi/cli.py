@@ -32,7 +32,6 @@ REFERENCE, DERIVED, TRIVIAL = "reference", "derived", "trivial"
 # or exhaustive search; `verify` suites compare against these.
 LAMBDA_TABLE = {2: 2, 3: 3, 4: 7, 5: 13, 6: 34, 7: 73, 8: 209, 9: 501,
                 10: 1546, 11: 4051}
-EXTREMAL_ORDER = {3: 3, 4: 7, 5: 13, 6: 34, 7: 73}
 EXTREMAL_COUNT = {4: 6, 5: 20, 6: 20, 7: 70}
 
 # Guarded ranges of n; --force lifts each, but a suite's range starts at
@@ -43,6 +42,9 @@ CLIQUE_NS = range(2, GRAPH_NS.stop)  # max-clique uniqueness enumeration
 EXTREMAL_NS = range(3, 8)  # the maximum commutative nilpotent search
 DISTANCE5_NS = (9, 25, 27)
 CENTRALIZER_LIST_CAP = 100_000  # centralizer --list, in elements
+# the center each graph family leaves out (see graph.build_graph)
+FILTER_CENTERS = {"all": "monoid", "nilpotent": "ideal",
+                  "idempotent": "monoid", "permutation": "group"}
 
 
 class UsageError(Exception):
@@ -156,19 +158,22 @@ class CliContext:
     def vertex_cap(self) -> int:
         return (1 << 40) if self.force else graphmod.VERTEX_CAP
 
-    def graph(self, n: int, max_rank: int | None = None
+    def graph(self, n: int, max_rank: int | None = None, filt: str = "all"
               ) -> graphmod.CommutingGraph:
         """Commuting graph of I(n) minus its center; with ``max_rank`` r,
         that of the nonzero elements of rank at most r, built from those
-        elements alone.  Memoized; with ``cache_dir`` the full graph is
-        also kept on disk."""
-        key = (n, max_rank)
+        elements alone; with ``filt``, that of one family minus the
+        family's center (``FILTER_CENTERS``).  Memoized; with ``cache_dir``
+        the full graph is also kept on disk."""
+        key = (n, max_rank, filt)
         if key in self._graphs:
             return self._graphs[key]
+        if max_rank is not None and filt != "all":
+            raise UsageError("--ideal applies to the unfiltered monoid")
         if max_rank is not None and not 1 <= max_rank <= n - 1:
             raise UsageError("need 1 <= r <= n-1 for an ideal graph")
         path = None
-        if max_rank is None and self.cache_dir is not None:
+        if max_rank is None and filt == "all" and self.cache_dir is not None:
             path = Path(self.cache_dir) / f"icgr-full-n{n}.bin"
         if path is not None and path.exists() and not self.force:
             try:
@@ -179,7 +184,7 @@ class CliContext:
         else:
             self.guard("graph materialization", n, GRAPH_NS)
             if max_rank is None:
-                g = graphmod.build_graph(n, center="monoid",
+                g = graphmod.build_graph(n, filt, center=FILTER_CENTERS[filt],
                                          vertex_cap=self.vertex_cap)
             else:
                 g = graphmod.build_graph(
@@ -289,7 +294,7 @@ def _suite_extremal(s: SuiteReport, p: dict, ctx: CliContext):
         return box["rep"].max_order
 
     s.check(f"maximum commutative nilpotent order at n={n}", "order-table",
-            REFERENCE, EXTREMAL_ORDER.get(n, construct.balanced_null_order(n)),
+            REFERENCE, LAMBDA_TABLE.get(n, construct.balanced_null_order(n)),
             search)
     rep = box["rep"]
     nulls = {tuple(b.ids) for b in construct.balanced_null_semigroups(n)}
@@ -602,6 +607,12 @@ _SUITES = {
     "properties": _suite_properties,
 }
 SUITE_ORDER = tuple(_SUITES)
+# the parameters each suite reads; giving a suite any other is a usage error
+SUITE_PARAMS = {"lambda": ("max_n",), "balanced-null": ("n",),
+                "extremal": ("n",), "clique": ("n",),
+                "ideal-diameters": ("n",), "full-diameter": ("n",),
+                "distance5": ("n",), "nilpotent-pairs": ("n",),
+                "sym-gap": (), "properties": ("samples", "seed")}
 
 
 def run_suite(name: str, params: dict | None = None,
@@ -610,6 +621,10 @@ def run_suite(name: str, params: dict | None = None,
         raise UsageError(f"unknown suite {name!r}; choose from"
                          f" {', '.join(SUITE_ORDER)} or 'all'")
     report = SuiteReport(name, dict(params or {}))
+    unread = [k for k in report.params if k not in SUITE_PARAMS[name]]
+    if unread:
+        raise UsageError(f"the {name} suite does not read " + ", ".join(
+            "--" + k.replace("_", "-") for k in unread))
     _SUITES[name](report, report.params, ctx or CliContext())
     return report
 
@@ -717,17 +732,7 @@ def cmd_centralizer(args, ctx) -> int:
 
 def cmd_graph(args, ctx) -> int:
     n = _require_n(args)
-    if args.ideal is not None:
-        if args.filter != "all":
-            raise UsageError("--ideal applies to the unfiltered monoid")
-        g = ctx.graph(n, args.ideal)
-    elif args.filter == "all":
-        g = ctx.graph(n)
-    else:
-        center = {"nilpotent": "ideal", "idempotent": "monoid",
-                  "permutation": "group"}[args.filter]
-        g = graphmod.build_graph(n, filt=args.filter, center=center,
-                                 vertex_cap=ctx.vertex_cap)
+    g = ctx.graph(n, args.ideal, args.filter)
     info = {"label": g.label, "n": n, "vertices": g.num_vertices,
             "edges": g.num_edges()}
     if g.num_vertices:
@@ -814,8 +819,12 @@ def cmd_witness(args, ctx) -> int:
 def cmd_verify(args, ctx) -> int:
     params = {k: getattr(args, k) for k in ("n", "max_n", "samples", "seed")
               if getattr(args, k, None) is not None}
-    names = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
-    reports = [run_suite(nm, params, ctx) for nm in names]
+    if args.suite == "all":
+        runs = [(nm, {k: v for k, v in params.items()
+                      if k in SUITE_PARAMS[nm]}) for nm in SUITE_ORDER]
+    else:
+        runs = [(args.suite, params)]
+    reports = [run_suite(nm, p, ctx) for nm, p in runs]
     payload = ([r.to_dict() for r in reports] if args.suite == "all"
                else reports[0].to_dict())
     _emit(args, payload, (line for r in reports for line in _report_lines(r)))
@@ -882,8 +891,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", parents=[common, ideal, budget, cache, force],
                        help="build a commuting graph; stats and exports")
-    p.add_argument("--filter", default="all",
-                   choices=("all", "nilpotent", "idempotent", "permutation"))
+    p.add_argument("--filter", default="all", choices=tuple(FILTER_CENTERS))
     p.add_argument("--diameter", action="store_true")
     p.add_argument("--clique", action="store_true")
     p.add_argument("--dot", default=None, metavar="FILE")

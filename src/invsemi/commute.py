@@ -23,6 +23,7 @@ so one Schreier tree of the group yields every candidate.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -222,10 +223,12 @@ def permutation_centralizer_order(a: PInj) -> int:
 # -- joint centralizers of two permutations ----------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def _orbit(d: PInj, e: PInj, x0: int):
     """(the orbit of x0 under the group the permutations d and e generate,
     in breadth-first order; the edges (x, g, y) of its Schreier tree,
-    where y is the image of x under d for g = 0 and under e for g = 1)."""
+    where y is the image of x under d for g = 0 and under e for g = 1).
+    Cached: a pair's joint centralizer reuses its class test's orbit of 0."""
     if d.n != e.n or not (d.is_permutation() and e.is_permutation()):
         raise ValueError("need two permutations of one ground set")
     order, tree, seen = [x0], [], {x0}
@@ -236,7 +239,7 @@ def _orbit(d: PInj, e: PInj, x0: int):
                 seen.add(y)
                 order.append(y)
                 tree.append((x, g, y))
-    return order, tree
+    return tuple(order), tuple(tree)
 
 
 def overlap_classes(d: PInj, e: PInj) -> list:
@@ -267,7 +270,7 @@ def permutation_joint_centralizer(d: PInj, e: PInj) -> list:
     With the zero map, at most n+1 elements result.
     """
     n = d.n
-    order, tree = _orbit(d, e, 0) if n else ([], [])
+    order, tree = _orbit(d, e, 0) if n else ((), ())
     if not n or len(order) != n:
         raise ValueError("overlap closure is not a single class")
     gens = gd, ge = np.array([d.img, e.img], dtype=np.intp)

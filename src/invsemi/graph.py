@@ -340,9 +340,10 @@ def eccentricities(g: CommutingGraph):
     arrays.
 
     On a vertex set closed under conjugation, conjugation is a graph
-    automorphism, so BFS results are constant on each cycle-chain type and
-    one BFS from its lowest-index member serves the whole type; otherwise
-    every vertex is its own source (see ``_bulk.conjugacy_classes``).
+    automorphism, so BFS results are constant on each conjugacy class (an
+    orbit of the conjugations by the two generators of S_n) and one BFS
+    from its lowest-index member serves the whole class; otherwise every
+    vertex is its own source (see ``_bulk.conjugacy_classes``).
     """
     nverts = g.num_vertices
     rows = g.rows()

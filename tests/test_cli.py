@@ -71,6 +71,29 @@ def test_verify_single_suite_text(capsys):
     assert out.rstrip().endswith("=> pass")
 
 
+def test_verify_suites_state_each_input_once(capsys):
+    # a suite once ignored parameters it does not read: `verify sym-gap
+    # --n 12` passed on the n=10 certificate
+    for argv in (["verify", "sym-gap", "--n", "12"],
+                 ["verify", "lambda", "--n", "3"],
+                 ["verify", "properties", "--n", "7"],
+                 ["verify", "balanced-null", "--seed", "1"]):
+        code, _, err = run_main(capsys, argv)
+        assert code == 2, argv
+        assert "error:" in err and "does not read --" in err, argv
+    with pytest.raises(cli.UsageError, match="does not read --max-n"):
+        cli.run_suite("extremal", {"max_n": 5})
+    # `verify all` gives each suite only the parameters it reads
+    code, out, _ = run_main(capsys, ["verify", "all", "--max-n", "6",
+                                     "--samples", "50", "--json"])
+    assert code == 0
+    params = {r["suite"]: r["params"] for r in json.loads(out)}
+    assert params["lambda"] == {"max_n": 6}
+    assert params["properties"] == {"samples": 50}
+    assert all(p == {} for nm, p in params.items()
+               if nm not in ("lambda", "properties"))
+
+
 def test_infinity_serialized_for_odd_ground(capsys):
     code, out, _ = run_main(capsys,
                             ["verify", "full-diameter", "--n", "5", "--json"])
@@ -340,6 +363,21 @@ def test_graph_filter_cap_and_force(capsys, monkeypatch):
     assert code == 2 and "exceeds cap 10" in err
     code, out, _ = run_main(capsys, argv + ["--force"])
     assert code == 0 and json.loads(out)["vertices"] == 72
+
+
+def test_graph_filter_goes_through_the_guard(capsys):
+    # filtered graphs once skipped the n guard and the memo: the nilpotent
+    # graph at n=7 built 37,632 vertices, and n=9 decoded all 17.6 M
+    # elements of I(9) for 510 idempotents
+    for argv in (["graph", "--n", "7", "--filter", "nilpotent"],
+                 ["graph", "--n", "9", "--filter", "idempotent"]):
+        code, _, err = run_main(capsys, argv)
+        assert code == 2, argv
+        assert "error:" in err and "0 <= n <= 6" in err, argv
+    ctx = cli.CliContext()
+    g = ctx.graph(4, filt="nilpotent")
+    assert ctx.graph(4, filt="nilpotent") is g
+    assert g.num_vertices == 72 and tuple(g.center_ids) == (0,)
 
 
 def test_graph_ideal(capsys):

@@ -103,17 +103,23 @@ def test_adjacency_packed_matches_oracle():
             assert bits == adj[i]
 
 
-def row_types(n, mat):
-    """Number of distinct cycle-chain types among the rows of an image
-    matrix, by way of ``decompose`` rather than the package's vectorized
-    key."""
-    types = set()
+def row_type_keys(n, mat):
+    """Cycle-chain type of each row of an image matrix, by way of
+    ``decompose``: the oracle for the package's conjugacy classes, which it
+    finds as orbits of conjugation."""
+    keys = []
     for row in mat:
         d = decompose(PInj(n, tuple(UNDEF if v == n else int(v)
                                     for v in row)))
-        types.add((tuple(sorted(len(c) for c in d.cycles)),
-                   tuple(sorted(len(c) for c in d.chains))))
-    return len(types)
+        keys.append((tuple(sorted(len(c) for c in d.cycles)),
+                     tuple(sorted(len(c) for c in d.chains))))
+    return keys
+
+
+def row_types(n, mat):
+    """Number of distinct cycle-chain types among the rows of an image
+    matrix (see ``row_type_keys``)."""
+    return len(set(row_type_keys(n, mat)))
 
 
 def run_kernel(mat, monkeypatch):
@@ -135,8 +141,9 @@ def run_kernel(mat, monkeypatch):
 
 def check_kernel(n, mat, closed, monkeypatch, sample=None):
     """The kernel equals the all-pairs dense oracle bit for bit (on the
-    ``sample`` rows if given), and compares one row per cycle-chain type
-    densely on closed sets, every row otherwise."""
+    ``sample`` rows if given), and compares one row per conjugacy class
+    (one per cycle-chain type) densely on closed sets, every row
+    otherwise."""
     packed, dense = run_kernel(mat, monkeypatch)
     assert packed.dtype == np.uint64
     assert packed.shape == (len(mat), (len(mat) + 63) // 64)
@@ -158,6 +165,31 @@ def test_adjacency_kernel_on_families(monkeypatch):
                 g = gm.build_graph(n, filt, center=center)
                 packed = check_kernel(n, g.imgs, True, monkeypatch)
                 assert packed.tobytes() == g.packed.tobytes()
+
+
+def test_conjugacy_classes_are_conjugation_orbits():
+    # on every closed family at n <= 5, a row conjugated by seeded random
+    # permutations stays in its class, the classes are exactly the
+    # cycle-chain types, and each representative is its class's lowest index
+    rng = np.random.default_rng(13)
+    for n in range(6):
+        for filt in FILTERS:
+            for max_rank in (None, *range(1, n)):
+                ids, mat = elements_matrix(n, filt, max_rank)
+                for rows in (mat, mat[ids != 0]):
+                    reps, inverse = conjugacy_classes(rows)
+                    index = {r.tobytes(): i for i, r in enumerate(rows)}
+                    for _ in range(3):
+                        s = rng.permutation(n)
+                        conj = np.empty_like(rows)
+                        conj[:, s] = np.append(s, n).astype(np.int8)[rows]
+                        at = [index[r.tobytes()] for r in conj]
+                        assert (inverse[at] == inverse).all()
+                    keys = row_type_keys(n, rows)
+                    assert len(set(zip(keys, inverse.tolist()))) \
+                        == len(set(keys)) == len(reps)
+                    assert (inverse[reps] == np.arange(len(reps))).all()
+                    assert (reps[inverse] <= np.arange(len(rows))).all()
 
 
 def test_adjacency_kernel_full_n6(full_graphs, monkeypatch):
