@@ -20,17 +20,18 @@ The adjacency kernel exploits that conjugation by a permutation of the
 ground set preserves commutation.  Conjugation by the transposition (0 1)
 and by the n-cycle, which generate S_n, map the rows to row indices; the
 conjugacy classes of a row set closed under both are the orbits of the two
-maps.  The kernel compares one representative row per class against all
-rows with dense gathers, and builds every other row by conjugating the
-columns of its representative's row; other row sets compare every row
-densely.
+maps.  Pulling each row's lowest index along one map at a time finds them,
+and the pulls form a Schreier forest rooted at the representatives.  The
+kernel compares one representative row per class against all rows with
+dense gathers, and builds every other row from the row it pulled from,
+gathering the columns through that pull's map; other row sets compare
+every row densely.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 
 import numpy as np
 
@@ -49,7 +50,7 @@ __all__ = [
 
 _MAX_MATRIX_GROUND = 10
 _FILTERS = ("all", "idempotent", "permutation", "nilpotent")
-_ADJACENCY_BLOCK = 256  # representative rows per dense comparison block
+_ADJACENCY_BLOCK = 64  # rows per dense comparison or forest fill block
 
 
 def _augmented(m: np.ndarray) -> np.ndarray:
@@ -244,43 +245,57 @@ def _row_codes(m: np.ndarray) -> np.ndarray:
     return m.astype(np.int64) @ (n + 1) ** np.arange(n, dtype=np.int64)
 
 
-def _conjugation_maps(m: np.ndarray) -> dict:
-    """{s: p_s} for s the transposition (0 1) and the n-cycle x ↦ x+1,
-    which generate S_n, where p_s maps each row u to the row index of
-    s·u·s⁻¹: (s·u·s⁻¹)(s(x)) = s(u(x)).  Empty unless n >= 2 and the rows
-    are distinct and closed under both conjugations."""
+def _conjugation_maps(m: np.ndarray) -> list:
+    """[p_s] for s the transposition (0 1) and the n-cycle x ↦ x+1, which
+    generate S_n, where p_s maps each row u to the row index of s·u·s⁻¹:
+    (s·u·s⁻¹)(s(x)) = s(u(x)).  Empty unless n >= 2 and the rows are
+    distinct and closed under both conjugations."""
     big_n, n = m.shape
     codes = _row_codes(m)
     order = np.argsort(codes)
     codes = codes[order]
     if n < 2 or (codes[1:] == codes[:-1]).any():
-        return {}
+        return []
     ident = tuple(range(n))
-    maps = {}
+    maps = []
     for s in ((1, 0) + ident[2:], ident[1:] + (0,)):
         conj = np.empty_like(m)
         conj[:, s] = np.array(s + (n,), dtype=np.int8)[m]
         want = _row_codes(conj)
         at = np.minimum(np.searchsorted(codes, want), big_n - 1)
         if (codes[at] != want).any():
-            return {}
-        # int32 keeps the S_n walk's frontier (up to ~570 arrays at n=7)
-        # at half the memory
-        maps[s] = order[at].astype(np.int32)
+            return []
+        maps.append(order[at])
     return maps
 
 
-def _orbits(maps: dict, big_n: int):
-    """(representatives, inverse) of the orbits of the group the maps
-    generate: pull the lowest index along the maps until nothing moves."""
-    low = every = np.arange(big_n)
-    while True:
-        pulled = np.minimum.reduce([low] + [low[g] for g in maps.values()])
-        if (pulled == low).all():
-            break
-        low = pulled
-    reps = np.flatnonzero(low == every)
-    return reps, np.searchsorted(reps, low)
+def _orbits(maps: list, big_n: int):
+    """(representatives, inverse, pulls) of the orbits of the group the
+    maps generate.
+
+    Step t pulls each row's lowest index along map t mod len(maps), until
+    a round of every map moves nothing.  A row u's last pull, by g, read
+    row g[u] when that row already held the final index, so g[u] is in u's
+    class and was last pulled at an earlier step or is a representative:
+    the pulls form a Schreier forest rooted at the representatives.
+    ``pulls`` lists (g, rows last pulled by g) in step order, which builds
+    the forest from its roots; row u's parent is g[u].
+    """
+    low = np.arange(big_n)
+    step = np.full(big_n, -1)
+    t = idle = 0
+    while idle < len(maps):
+        g = maps[t % len(maps)]
+        pulled = low[g]
+        drop = np.flatnonzero(pulled < low)
+        low[drop] = pulled[drop]
+        step[drop] = t
+        idle = 0 if len(drop) else idle + 1
+        t += 1
+    reps = np.flatnonzero(step < 0)
+    pulls = [(maps[k % len(maps)], np.flatnonzero(step == k))
+             for k in range(t - idle)]
+    return reps, np.searchsorted(reps, low), pulls
 
 
 def conjugacy_classes(m: np.ndarray):
@@ -289,52 +304,12 @@ def conjugacy_classes(m: np.ndarray):
 
     Conjugation by a permutation of the ground set preserves commutation,
     so on a row set closed under it each class, an orbit of the conjugation
-    maps by (0 1) and by the n-cycle, is one orbit of graph automorphisms.
-    Representatives come out in ascending index order.  A set with repeated
-    rows or a conjugate outside it has every row as its own representative.
+    maps by (0 1) and by the n-cycle, is one orbit of graph automorphisms;
+    ``_orbits`` pulls the lowest index along the maps.  Representatives
+    come out in ascending index order.  A set with repeated rows or a
+    conjugate outside it has every row as its own representative.
     """
-    return _orbits(_conjugation_maps(m), len(m))
-
-
-def _conjugate_rows(out: np.ndarray, reps: np.ndarray, inverse: np.ndarray,
-                    maps: dict) -> None:
-    """Fill every non-representative row of ``out`` from its class
-    representative's row.
-
-    Each permutation s of the ground set induces an automorphism p_s, so
-    row p_s⁻¹(r) is row r with its columns permuted by p_s.  Walk S_n
-    breadth-first from the identity through the two generators of
-    ``maps`` (see ``_conjugation_maps``), getting p_{g∘s} = p_g[p_s] by one
-    gather, and stop once every row is filled.  The diagonal stays clear:
-    the representative's own bit lands on the row's own column.
-    """
-    big_n = len(out)
-    filled = np.zeros(big_n, dtype=bool)
-    filled[reps] = True
-    if filled.all():
-        return
-    rep_of = reps[inverse]
-    rep_bits = np.unpackbits(out[reps].view(np.uint8), axis=1, count=big_n,
-                             bitorder="little").view(bool)
-    ident = tuple(range(len(next(iter(maps)))))  # maps is not empty here
-    seen = {ident}
-    frontier = deque([(ident, np.arange(big_n, dtype=np.int32))])
-    while not filled.all():
-        perm, p = frontier.popleft()
-        for tau, g in maps.items():
-            nxt = tuple(tau[x] for x in perm)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            q = g[p]
-            # at most one new row per class: p_s⁻¹(r) is one row
-            new = np.flatnonzero((q == rep_of) & ~filled)
-            if len(new):
-                filled[new] = True
-                bits = np.take(rep_bits[inverse[new]], q.astype(np.intp),
-                               axis=1)
-                out[new] = pack_bool_rows(bits, big_n)
-            frontier.append((nxt, q))
+    return _orbits(_conjugation_maps(m), len(m))[:2]
 
 
 def adjacency_packed(m: np.ndarray) -> np.ndarray:
@@ -342,18 +317,24 @@ def adjacency_packed(m: np.ndarray) -> np.ndarray:
 
     Only one representative row per conjugacy class, an orbit of the two
     maps of ``_conjugation_maps``, is compared densely against the whole
-    matrix; every other row is its representative's row with the columns
-    conjugated (see ``_conjugate_rows``).  A row set not closed under
-    conjugation has no maps, so then every row is compared densely.
+    matrix.  Every other row u is built along the orbit pulls of
+    ``_orbits``, from the row g[u] it pulled from: g is an automorphism,
+    so A[u, w] = A[g[u], g[w]], and row u is row g[u] with its columns
+    gathered through g (the diagonal stays clear).  A row set not closed
+    under conjugation has no maps, so then every row is compared densely.
     """
     big_n = len(m)
     out = np.empty((big_n, (big_n + 63) // 64), dtype=np.uint64)
-    maps = _conjugation_maps(m)
-    reps, inverse = _orbits(maps, big_n)
+    reps, _, pulls = _orbits(_conjugation_maps(m), big_n)
     for s in range(0, len(reps), _ADJACENCY_BLOCK):
         rows = reps[s:s + _ADJACENCY_BLOCK]
         eq = commuting(m[rows], m)
         eq[np.arange(len(rows)), rows] = False
         out[rows] = pack_bool_rows(eq, big_n)
-    _conjugate_rows(out, reps, inverse, maps)
+    for g, new in pulls:
+        for s in range(0, len(new), _ADJACENCY_BLOCK):
+            rows = new[s:s + _ADJACENCY_BLOCK]
+            bits = np.unpackbits(out[g[rows]].view(np.uint8), axis=1,
+                                 count=big_n, bitorder="little").view(bool)
+            out[rows] = pack_bool_rows(np.take(bits, g, axis=1), big_n)
     return out

@@ -40,6 +40,7 @@ GRAPH_NS = range(7)      # graph materialization, general centralizers
 GRAPH_SUITE_NS = range(3, GRAPH_NS.stop)  # the diameter and pair suites
 CLIQUE_NS = range(2, GRAPH_NS.stop)  # max-clique uniqueness enumeration
 EXTREMAL_NS = range(3, 8)  # the maximum commutative nilpotent search
+BALANCED_NULL_NS = range(2, 9)  # every balanced split, classified
 DISTANCE5_NS = (9, 25, 27)
 CENTRALIZER_LIST_CAP = 100_000  # centralizer --list, in elements
 # the center each graph family leaves out (see graph.build_graph)
@@ -264,6 +265,7 @@ def _suite_lambda(s: SuiteReport, p: dict, ctx: CliContext):
 
 def _suite_balanced_null(s: SuiteReport, p: dict, ctx: CliContext):
     n = p.get("n", 4)
+    ctx.guard("the balanced-null suite", n, BALANCED_NULL_NS, floor=True)
     if n == 4:
         displayed = ["0", "[1 3]", "[1 4]", "[2 3]", "[2 4]",
                      "[1 3]|[2 4]", "[1 4]|[2 3]"]

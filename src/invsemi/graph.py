@@ -340,10 +340,13 @@ def eccentricities(g: CommutingGraph):
     arrays.
 
     On a vertex set closed under conjugation, conjugation is a graph
-    automorphism, so BFS results are constant on each conjugacy class (an
-    orbit of the conjugations by the two generators of S_n) and one BFS
-    from its lowest-index member serves the whole class; otherwise every
-    vertex is its own source (see ``_bulk.conjugacy_classes``).
+    automorphism, so BFS results are constant on each conjugacy class and
+    one BFS from its lowest-index member serves the whole class; otherwise
+    every vertex is its own source.  The classes are the orbits of the
+    conjugations by the two generators of S_n, found by pulling the
+    lowest index along them; the adjacency build follows the same pulls,
+    building each other row from the row it pulled from (see
+    ``_bulk.conjugacy_classes``).
     """
     nverts = g.num_vertices
     rows = g.rows()

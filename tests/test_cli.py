@@ -198,6 +198,21 @@ def test_prime_power_below_two_is_usage_error():
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_balanced_null_is_guarded_above_eight():
+    # n=9 once ran for more than two minutes, so it runs in its own process
+    # with a timeout; the floor of 2 is checked with the other suites below
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "invsemi", "verify",
+                           "balanced-null", "--n", "9"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and "2 <= n <= 8" in proc.stderr
+    assert cli.run_suite("balanced-null", {"n": 2}).passed
+
+
 def test_explicit_zero_is_not_the_default(capsys):
     # an explicit 0 is a value: it must not fall back to the suite default
     for argv in (["verify", "extremal", "--n", "0"],
@@ -216,7 +231,7 @@ def test_force_keeps_the_lower_bound_of_a_suite(capsys):
     # its hard-coded expectations would report false failures
     for suite, least in (("nilpotent-pairs", 3), ("full-diameter", 3),
                          ("ideal-diameters", 3), ("extremal", 3),
-                         ("clique", 2)):
+                         ("clique", 2), ("balanced-null", 2)):
         code, _, err = run_main(capsys, ["verify", suite, "--n",
                                          str(least - 1), "--force"])
         assert code == 2, suite

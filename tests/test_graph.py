@@ -123,8 +123,8 @@ def row_types(n, mat):
 
 
 def run_kernel(mat, monkeypatch):
-    """``adjacency_packed(mat)`` and the number of rows it compared
-    densely against the whole matrix."""
+    """``adjacency_packed(mat)``, the number of rows it compared densely
+    against the whole matrix, and its tracemalloc peak in bytes."""
     dense = []
     inner = _bulk.commuting
 
@@ -135,22 +135,30 @@ def run_kernel(mat, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(_bulk, "commuting", counting)
-        packed = adjacency_packed(mat)
-    return packed, sum(dense)
+        tracemalloc.start()
+        try:
+            packed = adjacency_packed(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return packed, sum(dense), peak
 
 
-def check_kernel(n, mat, closed, monkeypatch, sample=None):
+def check_kernel(n, mat, closed, monkeypatch, sample=None, over_mb=None):
     """The kernel equals the all-pairs dense oracle bit for bit (on the
     ``sample`` rows if given), and compares one row per conjugacy class
     (one per cycle-chain type) densely on closed sets, every row
-    otherwise."""
-    packed, dense = run_kernel(mat, monkeypatch)
+    otherwise.  Given ``over_mb``, its traced peak stays within that many
+    MB of the packed output's size."""
+    packed, dense, peak = run_kernel(mat, monkeypatch)
     assert packed.dtype == np.uint64
     assert packed.shape == (len(mat), (len(mat) + 63) // 64)
     want = dense_adjacency_packed(mat, sample)
     got = packed if sample is None else packed[sample]
     assert got.tobytes() == want.tobytes()
     assert dense == (row_types(n, mat) if closed else len(mat))
+    if over_mb is not None:
+        assert peak - packed.nbytes < over_mb << 20
     return packed
 
 
@@ -165,6 +173,37 @@ def test_adjacency_kernel_on_families(monkeypatch):
                 g = gm.build_graph(n, filt, center=center)
                 packed = check_kernel(n, g.imgs, True, monkeypatch)
                 assert packed.tobytes() == g.packed.tobytes()
+
+
+def check_forest(mat):
+    """The orbit pulls form a Schreier forest: each non-representative row
+    is pulled last exactly once, from a row in its own class that is a
+    representative or was pulled last at an earlier step."""
+    reps, inverse, pulls = _bulk._orbits(_bulk._conjugation_maps(mat),
+                                         len(mat))
+    unset = len(pulls)
+    step = np.full(len(mat), unset)
+    step[reps] = -1
+    for t, (g, rows) in enumerate(pulls):
+        assert (step[rows] == unset).all()
+        assert (inverse[g[rows]] == inverse[rows]).all()
+        assert (step[g[rows]] < t).all()
+        step[rows] = t
+    assert (step < unset).all()
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_forest_fill_at_every_block_boundary(block, monkeypatch):
+    # rows are built from their parents in blocks; blocks of 1 and 5 rows
+    # cut every step's row list at many places
+    monkeypatch.setattr(_bulk, "_ADJACENCY_BLOCK", block)
+    for n in range(6):
+        for filt in FILTERS:
+            for max_rank in (None, *range(1, n)):
+                ids, mat = elements_matrix(n, filt, max_rank)
+                for rows in (mat, mat[ids != 0]):
+                    check_forest(rows)
+                    check_kernel(n, rows, True, monkeypatch)
 
 
 def test_conjugacy_classes_are_conjugation_orbits():
@@ -204,7 +243,8 @@ def test_adjacency_kernel_nilpotent_n7(monkeypatch):
     reps, _ = conjugacy_classes(mat)
     rng = np.random.default_rng(7)
     sample = np.union1d(reps, rng.choice(len(mat), 512, replace=False))
-    packed = check_kernel(7, mat, True, monkeypatch, sample)
+    # besides its 169 MB output the kernel holds a block of rows at a time
+    packed = check_kernel(7, mat, True, monkeypatch, sample, over_mb=32)
     assert int(np.bitwise_count(packed).sum()) // 2 == 1_387_470
 
 
