@@ -12,8 +12,10 @@ rotation per mapped cycle.  I(n) streams as the identity's centralizer,
 index i decoding to the element with ID i; matrix enumeration is capped at
 n <= 10, where the top stratum's table takes 36 MB.
 
-``commuting`` is the package's one batch commutation predicate, behind
-adjacency, centralizers and power grids; ``element_rows`` and
+``products`` composes two row batches pairwise in one gather, ``commuting``
+(the one batch commutation predicate) compares two of them, and
+``row_index`` finds rows by one sort: adjacency, centralizers, power grids
+and semigroup product tables run on them.  ``element_rows`` and
 ``row_element`` convert between ``PInj`` objects and rows.
 
 The adjacency kernel exploits that conjugation by a permutation of the
@@ -42,7 +44,9 @@ __all__ = [
     "elements_matrix",
     "row_element",
     "element_rows",
+    "products",
     "commuting",
+    "row_index",
     "adjacency_packed",
     "conjugacy_classes",
     "pack_bool_rows",
@@ -213,21 +217,24 @@ def row_element(n: int, row) -> PInj:
 def element_rows(elems, n: int) -> np.ndarray:
     """The int8 image matrix of ``elems``, one row per element, with n
     marking points outside the domain: the inverse of ``row_element``."""
-    m = np.array([e.img for e in elems], dtype=np.int8).reshape(-1, n)
+    m = np.array([e.img for e in elems] or np.zeros((0, n)), dtype=np.int8)
     m[m == UNDEF] = n
     return m
 
 
-def commuting(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``bool[len(a), len(b)]``, set where the rows a_i and b_j commute:
-    int8 image tables on the same n points, n marking undefined.  Each
-    composite is one gather through the other batch's augmented matrix."""
+def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``int8[len(a), len(b), n]``: row [i, j] is the composite a_i·b_j
+    (a_i applied first), one gather of a through b's augmented matrix."""
     if a.shape[1] != b.shape[1]:
         raise ValueError("row batches of different ground sizes")
-    # ab[j, i, x] = b_j(a_i(x)); ba[i, j, x] = a_i(b_j(x))
-    ab = _augmented(b)[:, a]
-    ba = _augmented(a)[:, b]
-    return (ab.transpose(1, 0, 2) == ba).all(axis=2)
+    # gathered[j, i, x] = b_j(a_i(x))
+    return _augmented(b)[:, a].transpose(1, 0, 2)
+
+
+def commuting(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``bool[len(a), len(b)]``, set where the rows a_i and b_j commute:
+    ``products(a, b)`` against ``products(b, a)`` transposed."""
+    return (products(a, b) == products(b, a).transpose(1, 0, 2)).all(axis=2)
 
 
 def pack_bool_rows(rows: np.ndarray, width: int) -> np.ndarray:
@@ -239,10 +246,21 @@ def pack_bool_rows(rows: np.ndarray, width: int) -> np.ndarray:
     return packed.view(np.uint64).reshape(rows.shape[0], words)
 
 
-def _row_codes(m: np.ndarray) -> np.ndarray:
-    """Base-(n+1) code of each row: equal codes exactly for equal rows."""
-    n = m.shape[1]
-    return m.astype(np.int64) @ (n + 1) ** np.arange(n, dtype=np.int64)
+def row_index(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """For each row of ``q`` (its last axis), the index of the equal row of
+    ``m``, or -1 if there is none, by one sort of m and binary searches.
+    Of repeated rows of m, one index serves all."""
+    n = m.shape[-1]
+    # base-(n+1) int64 codes where they fit; above n = 15, void row keys
+    keys, want = (x.astype(np.int64) @ (n + 1) ** np.arange(n) if n <= 15
+                  else np.ascontiguousarray(x).view(f"V{n}")[..., 0]
+                  for x in (m, q))
+    if not len(m):
+        return np.full(want.shape, -1)
+    order = np.argsort(keys)
+    keys = keys[order]
+    at = np.minimum(np.searchsorted(keys, want), len(m) - 1)
+    return np.where(keys[at] == want, order[at], -1)
 
 
 def _conjugation_maps(m: np.ndarray) -> list:
@@ -251,22 +269,17 @@ def _conjugation_maps(m: np.ndarray) -> list:
     (s·u·s⁻¹)(s(x)) = s(u(x)).  Empty unless n >= 2 and the rows are
     distinct and closed under both conjugations."""
     big_n, n = m.shape
-    codes = _row_codes(m)
-    order = np.argsort(codes)
-    codes = codes[order]
-    if n < 2 or (codes[1:] == codes[:-1]).any():
+    if n < 2:
         return []
     ident = tuple(range(n))
-    maps = []
-    for s in ((1, 0) + ident[2:], ident[1:] + (0,)):
-        conj = np.empty_like(m)
-        conj[:, s] = np.array(s + (n,), dtype=np.int8)[m]
-        want = _row_codes(conj)
-        at = np.minimum(np.searchsorted(codes, want), big_n - 1)
-        if (codes[at] != want).any():
-            return []
-        maps.append(order[at])
-    return maps
+    conj = np.empty((2, big_n, n), dtype=np.int8)
+    for k, s in enumerate(((1, 0) + ident[2:], ident[1:] + (0,))):
+        conj[k][:, s] = np.array(s + (n,), dtype=np.int8)[m]
+    maps = row_index(m, conj)
+    # repeated rows share their images, so a map onto every row rules them out
+    if (maps < 0).any() or (np.bincount(maps[0], minlength=big_n) > 1).any():
+        return []
+    return list(maps)
 
 
 def _orbits(maps: list, big_n: int):

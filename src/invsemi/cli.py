@@ -443,6 +443,9 @@ def _suite_sym_gap(s: SuiteReport, p: dict, ctx: CliContext):
 
 def _suite_properties(s: SuiteReport, p: dict, ctx: CliContext):
     samples = p.get("samples", 2000)
+    if samples < 0:
+        raise UsageError(f"the properties suite needs samples >= 0, got"
+                         f" {samples}")
     seed = p.get("seed", 0)
     rng = random.Random(seed)
 

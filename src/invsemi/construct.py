@@ -9,6 +9,9 @@ Counting is exact integer arithmetic throughout: the monoid order is
 Lah numbers (partitions of the ground set into ordered lists); the null
 semigroups built from single-step chains K -> L have order
 ``sum C(|K|,r) C(|L|,r) r!``, maximized over splits at ``|K| = n // 2``.
+
+A ``SemigroupSet`` decides its flags from ``_bulk.commuting`` and one
+product table, ``_bulk.products`` located in the set by ``_bulk.row_index``.
 """
 
 from __future__ import annotations
@@ -18,18 +21,19 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from ._bulk import iter_matrix_chunks, row_element
+import numpy as np
+
+from ._bulk import (_filter_mask, commuting, element_rows, iter_matrix_chunks,
+                    products, row_element, row_index)
 from .pinj import (
     PInj,
     UNDEF,
     compose,
-    classify,
     element_id,
     format_element,
     parse,
     stratum_sizes,
 )
-from .commute import commutes_naive
 
 __all__ = [
     "SemigroupSet",
@@ -74,7 +78,9 @@ class SemigroupSet:
         return iter(self.elements)
 
     def __contains__(self, e):
-        return e in self._element_set()
+        if "set" not in self._cache:
+            self._cache["set"] = frozenset(self.elements)
+        return e in self._cache["set"]
 
     def __eq__(self, other):
         return (isinstance(other, SemigroupSet)
@@ -83,34 +89,23 @@ class SemigroupSet:
     def __hash__(self):
         return hash((self.n, self.ids))
 
-    def _element_set(self):
-        if "set" not in self._cache:
-            self._cache["set"] = frozenset(self.elements)
-        return self._cache["set"]
+    def _table(self):
+        """(rows m, ``products(m, m)``, each product's position or -1)."""
+        if "table" not in self._cache:
+            m = element_rows(self.elements, self.n)
+            prod = products(m, m)
+            self._cache["table"] = m, prod, row_index(m, prod)
+        return self._cache["table"]
 
     def is_closed(self) -> bool:
-        if "closed" not in self._cache:
-            es = self._element_set()
-            self._cache["closed"] = all(compose(a, b) in es
-                                        for a in self.elements
-                                        for b in self.elements)
-        return self._cache["closed"]
+        return bool((self._table()[2] >= 0).all())
 
     def is_commutative(self) -> bool:
-        if "comm" not in self._cache:
-            els = self.elements
-            self._cache["comm"] = all(commutes_naive(els[i], els[j])
-                                      for i in range(len(els))
-                                      for j in range(i + 1, len(els)))
-        return self._cache["comm"]
+        m = self._table()[0]
+        return bool(commuting(m, m).all())
 
     def is_null(self) -> bool:
-        if "null" not in self._cache:
-            zero = PInj.zero(self.n)
-            self._cache["null"] = all(compose(a, b) == zero
-                                      for a in self.elements
-                                      for b in self.elements)
-        return self._cache["null"]
+        return bool((self._table()[1] == self.n).all())
 
     def serialize(self) -> str:
         lines = [f"n={self.n} order={len(self.elements)}"]
@@ -119,8 +114,11 @@ class SemigroupSet:
 
     @classmethod
     def deserialize(cls, text: str) -> "SemigroupSet":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
         head = dict(kv.split("=") for kv in lines[0].split())
+        missing = " and ".join(f"{k}=" for k in ("n", "order") if k not in head)
+        if missing:
+            raise ValueError(f"header {lines[0]!r} lacks {missing}")
         n = int(head["n"])
         elems = [parse(ln, n) for ln in lines[1:]]
         if len(elems) != int(head["order"]):
@@ -143,25 +141,25 @@ class SemigroupFlags:
 
 
 def classify_semigroup(s: SemigroupSet) -> SemigroupFlags:
-    """Algebraic flags of a finite element set, decided by definition.
+    """Algebraic flags of a finite element set, decided by definition on
+    its one product table and, for commutation, by ``commuting``.
 
     ``nilpotent`` means closed with every member nilpotent (or zero);
     ``inverse`` means closed and regular -- idempotents of the ambient
     monoid always commute, so regularity is the whole content here, but
     the idempotent check is run anyway because it is free.
     """
+    m, _, idx = s._table()
     closed = s.is_closed()
     commutative = s.is_commutative()
-    null = s.is_null()
-    nilp = closed and all(classify(e).kind in ("zero", "nilpotent") for e in s)
-    els = list(s)
-    regular = closed and all(
-        any(compose(compose(a, x), a) == a for x in els) for a in els)
-    idems = [e for e in els if e.is_idempotent()]
-    idem_comm = all(commutes_naive(u, v) for u in idems for v in idems)
-    inverse = regular and idem_comm
-    semilattice = closed and commutative and len(idems) == len(els)
-    return SemigroupFlags(len(els), closed, commutative, null,
+    nilp = closed and bool(_filter_mask(m, s.n, "nilpotent").all())
+    # a = e_i is regular when some x = e_j has a·x·a = a
+    at = np.arange(len(m))[:, None]
+    regular = closed and bool((idx[idx, at] == at).any(axis=1).all())
+    idem = m[_filter_mask(m, s.n, "idempotent")]
+    inverse = regular and bool(commuting(idem, idem).all())
+    semilattice = closed and commutative and len(idem) == len(m)
+    return SemigroupFlags(len(m), closed, commutative, s.is_null(),
                           nilp, inverse, semilattice)
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "CycleChainDecomp",
     "Classification",
     "compose",
-    "inverse",
     "power",
     "decompose",
     "join",
@@ -183,9 +182,6 @@ class PInj:
         return (isinstance(other, PInj)
                 and self.n == other.n and self.img == other.img)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return self._hash
 
@@ -204,10 +200,6 @@ def compose(a: PInj, b: PInj) -> PInj:
         raise ValueError("ground sizes differ")
     bi = b.img
     return PInj(a.n, tuple(UNDEF if y == UNDEF else bi[y] for y in a.img))
-
-
-def inverse(a: PInj) -> PInj:
-    return a.inverse()
 
 
 def power(a: PInj, p: int) -> PInj:

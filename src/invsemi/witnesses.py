@@ -703,7 +703,10 @@ def _full_cycle_pair_distance(a: PInj, b: PInj):
 def search_open(n: int, samples: int = 100, seed: int = 0) -> SearchReport:
     """Sample random pairs of full cycles on n points and compute their
     exact commuting-graph distance; reports a histogram and makes no
-    claim beyond the sampled pairs."""
+    claim beyond the sampled pairs.  Needs n >= 2 and samples >= 0."""
+    if n < 2 or samples < 0:
+        raise ValueError("search_open needs n >= 2 and samples >= 0, got"
+                         f" n={n}, samples={samples}")
     rng = random.Random(seed)
     hist = {}
     pairs = []

@@ -10,6 +10,7 @@ from collections import deque
 
 import numpy as np
 
+from invsemi.construct import SemigroupFlags
 from invsemi.pinj import PInj, UNDEF, decompose
 
 
@@ -27,6 +28,36 @@ def oracle_compose(a: PInj, b: PInj) -> PInj:
 
 def oracle_commutes(a: PInj, b: PInj) -> bool:
     return oracle_compose(a, b) == oracle_compose(b, a)
+
+
+def oracle_semigroup_flags(s) -> SemigroupFlags:
+    """The flags of ``construct.classify_semigroup`` for the SemigroupSet
+    ``s``, by definition: every pair (and, for regularity, triple) of
+    elements composed one at a time with ``oracle_compose``."""
+    els, n = list(s.elements), s.n
+    zero = PInj.zero(n)
+    members = set(els)
+
+    def nilpotent(e):
+        p = e
+        for _ in range(n):
+            p = oracle_compose(p, e)
+        return p == zero
+
+    closed = all(oracle_compose(a, b) in members for a in els for b in els)
+    commutative = all(oracle_commutes(a, b)
+                      for a, b in itertools.combinations(els, 2))
+    null = all(oracle_compose(a, b) == zero for a in els for b in els)
+    nilp = closed and all(nilpotent(e) for e in els)
+    regular = closed and all(
+        any(oracle_compose(oracle_compose(a, x), a) == a for x in els)
+        for a in els)
+    idems = [e for e in els if oracle_compose(e, e) == e]
+    inverse = regular and all(oracle_commutes(u, v)
+                              for u in idems for v in idems)
+    semilattice = closed and commutative and len(idems) == len(els)
+    return SemigroupFlags(len(els), closed, commutative, null, nilp,
+                          inverse, semilattice)
 
 
 def brute_adjacency(elements):

@@ -509,3 +509,28 @@ def test_search_open_command(capsys):
     assert code == 0
     d = json.loads(out)
     assert sum(d["histogram"].values()) == 10
+
+
+def test_balanced_null_n8_keeps_its_checks():
+    rep = cli.run_suite("balanced-null", {"n": 8})
+    assert rep.passed
+    assert [(c.claim, c.anchor, c.provenance, c.expected, c.computed)
+            for c in rep.checks] == [
+        ("number of balanced block splits at n=8", "partition-count",
+         "reference", 70, 70),
+        ("every balanced instance is a null semigroup of the closed-form"
+         " order", "null-flags", "trivial", True, True)]
+
+
+def test_negative_samples_and_small_ground_are_usage_errors(capsys):
+    for argv, words in ((["search-open", "--n", "4", "--samples", "-2"],
+                         "samples >= 0"),
+                        (["verify", "properties", "--samples", "-5"],
+                         "samples >= 0"),
+                        (["search-open", "--n", "1"], "n >= 2"),
+                        (["search-open", "--n", "0"], "n >= 2"),
+                        (["search-open", "--n", "-3"], "n >= 2")):
+        code, out, err = run_main(capsys, argv)
+        assert code == 2, argv
+        assert "error:" in err and words in err, argv
+        assert "Traceback" not in err and not out, argv

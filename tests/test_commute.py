@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invsemi import _bulk
-from invsemi._bulk import commuting, element_rows, row_element
+from invsemi._bulk import (commuting, element_rows, products,
+                           row_element, row_index)
 from invsemi.commute import (CommuteChecker, centralizer, commutes_naive,
                              commutes_structural,
                              iter_permutation_centralizer,
@@ -17,8 +18,8 @@ from invsemi.commute import (CommuteChecker, centralizer, commutes_naive,
                              overlap_classes,
                              permutation_centralizer_order,
                              permutation_joint_centralizer)
-from invsemi.pinj import (PInj, UNDEF, element_from_id, monoid_order, parse,
-                          power, join)
+from invsemi.pinj import (PInj, UNDEF, compose, element_from_id, monoid_order,
+                          parse, power, join)
 from invsemi.witnesses import _proper_divisors, prime_power_pair
 
 from helpers import (oracle_commutes, oracle_joint_centralizer,
@@ -56,7 +57,7 @@ def test_routes_agree_random(pair):
     assert commutes_structural(a, b) == commutes_naive(a, b)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(8))
 def test_batch_kernel_matches_oracle(n):
     rng = random.Random(n)
     for size_a, size_b in ((0, 5), (5, 0), (1, 1), (1, 9), (9, 1), (17, 40)):
@@ -73,10 +74,47 @@ def test_batch_kernel_matches_oracle(n):
                                 for x in xs]
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_products_match_compose(n):
+    # row [i, j] is x_i·y_j, x_i applied first, bit for bit
+    rng = random.Random(100 + n)
+    for size_a, size_b in ((0, 0), (0, 5), (5, 0), (1, 1), (9, 1), (17, 40)):
+        xs, ys = ([element_from_id(n, rng.randrange(monoid_order(n)))
+                   for _ in range(size)] for size in (size_a, size_b))
+        got = products(element_rows(xs, n), element_rows(ys, n))
+        assert got.dtype == np.int8 and got.shape == (size_a, size_b, n)
+        want = element_rows([compose(x, y) for x in xs for y in ys], n)
+        assert got.reshape(len(want), n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8, 20, 32])
+def test_row_index_matches_dict_lookup(n):
+    rng = np.random.default_rng(n)
+    for size in (0, 1, 50):
+        m = np.unique(rng.integers(0, n + 1, (size, n), dtype=np.int8),
+                      axis=0)
+        m = m[rng.permutation(len(m))]
+        # the rows of m, and rows that may be absent from it
+        q = np.vstack([m, rng.integers(0, n + 1, (30, n), dtype=np.int8)])
+        index = {r.tobytes(): i for i, r in enumerate(m)}
+        got = row_index(m, q)
+        assert got.tolist() == [index.get(r.tobytes(), -1) for r in q]
+
+
+def test_row_index_absent_rows():
+    assert row_index(np.zeros((1, 3), np.int8),
+                     np.ones((1, 3), np.int8)).tolist() == [-1]
+    # rows differing only at point 20, alike to base-32 int64 codes
+    late = np.full((2, 31), 31, np.int8)
+    late[1, 20] = 20
+    assert row_index(late[:1], late).tolist() == [0, -1]
+
+
 def test_batch_kernel_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        commuting(element_rows([PInj.zero(3)], 3),
-                  element_rows([PInj.zero(4)], 4))
+    for kernel in (commuting, products):
+        with pytest.raises(ValueError):
+            kernel(element_rows([PInj.zero(3)], 3),
+                   element_rows([PInj.zero(4)], 4))
 
 
 def test_structural_rejects_size_mismatch():
@@ -127,6 +165,10 @@ def test_centralizer_matches_brute(n):
     for a in els:
         brute = {b for b in els if commutes_naive(a, b)}
         assert set(centralizer(a).elements) == brute
+
+
+def test_centralizer_on_no_points():
+    assert centralizer(PInj.zero(0)).elements == (PInj.zero(0),)
 
 
 def test_centralizer_sample_n4():

@@ -1,17 +1,22 @@
 import itertools
 import math
+import random
+from dataclasses import astuple
 
 import pytest
 
 from invsemi import construct, graph as gm
 from invsemi._bulk import elements_matrix, iter_matrix_chunks
-from invsemi.construct import (SemigroupSet, balanced_null_order,
+from invsemi.construct import (SemigroupFlags, SemigroupSet,
+                               balanced_null_order,
                                balanced_null_semigroups, classify_semigroup,
                                closure, count_elements, enumerate_elements,
                                idempotent_semilattice,
                                max_commutative_nilpotent, null_semigroup)
 from invsemi.pinj import (PInj, element_from_id, element_id,
                           format_element, monoid_order, power)
+
+from helpers import oracle_semigroup_flags
 
 LAMBDA = {1: 1, 2: 2, 3: 3, 4: 7, 5: 13, 6: 34, 7: 73, 8: 209, 9: 501,
           10: 1546, 11: 4051}
@@ -128,6 +133,13 @@ def test_serialize_round_trip():
         SemigroupSet.deserialize("n=4 order=3\n0\n")
 
 
+def test_deserialize_names_what_the_header_lacks():
+    for text, words in (("order=3\n0\n", "n="), ("n=4\n0\n", "order="),
+                        ("", "lacks n= and order=")):
+        with pytest.raises(ValueError, match=words):
+            SemigroupSet.deserialize(text)
+
+
 def test_from_elements_dedupes_and_sorts():
     z = PInj.zero(3)
     s = SemigroupSet.from_elements(3, (z, z, PInj.identity(3)))
@@ -238,3 +250,75 @@ def test_extremal_cap_is_checked_before_enumerating(monkeypatch):
     monkeypatch.setattr(gm, "elements_matrix", refuse)
     with pytest.raises(ValueError, match="exceeds cap"):
         max_commutative_nilpotent(8)
+
+
+# -- the product table against the pairwise oracle ----------------------------------
+
+
+def flag_battery():
+    """Seeded SemigroupSets covering every flag combination the oracle
+    meets: every subset of I(2); 300 random subsets at each of n = 1, 3
+    and 4, the empty set first; closures of {a, a⁻¹} at n = 2..4 and of
+    {a, b} at n = 2, 3; the balanced null semigroups and idempotent
+    semilattices for n = 2..6; and {∅} at n = 0."""
+    rng = random.Random(15)
+    els2 = list(enumerate_elements(2))
+    for r in range(len(els2) + 1):
+        for sub in itertools.combinations(els2, r):
+            yield SemigroupSet.from_elements(2, sub)
+    for n in (1, 3, 4):
+        els = list(enumerate_elements(n))
+        yield SemigroupSet.from_elements(n, ())
+        for _ in range(299):
+            yield SemigroupSet.from_elements(
+                n, rng.sample(els, rng.randint(1, min(len(els), 12))))
+    for n in (2, 3, 4):
+        els = list(enumerate_elements(n))
+        for _ in range(100):
+            a = rng.choice(els)
+            yield closure([a, a.inverse()], n)
+    for n in (2, 3):
+        els = list(enumerate_elements(n))
+        for _ in range(150):
+            yield closure(rng.sample(els, 2), n)
+    for n in range(2, 7):
+        yield from balanced_null_semigroups(n)
+        yield idempotent_semilattice(n)
+    yield SemigroupSet.from_elements(0, (PInj.zero(0),))
+
+
+def test_flags_match_pairwise_oracle():
+    combos, count = set(), 0
+    for s in flag_battery():
+        want = oracle_semigroup_flags(s)
+        assert classify_semigroup(s) == want, s.serialize()
+        assert (s.is_closed(), s.is_commutative(), s.is_null()) \
+            == (want.closed, want.commutative, want.null)
+        combos.add(astuple(want)[1:])
+        count += 1
+    assert count == 1688
+    assert len(combos) == 12
+
+
+def test_flags_above_int64_row_codes():
+    # above n = 15 the table looks products up by void row keys; at n = 31
+    # base-32 int64 codes would ignore points 13 and up, so partial
+    # identities on those points would all look alike
+    rng = random.Random(16)
+    for n in (16, 23, 31):
+        cyc = closure([PInj.cycle(n, range(n))], n)
+        chain = closure([PInj.chain(n, range(n))], n)
+        mixed = rng.sample(cyc.elements + chain.elements, 20)
+        late = [PInj.from_dict(n, {x: x for x in pts})
+                for pts in ((13,), (14,), (13, 14))]
+        for s in (cyc, chain, SemigroupSet.from_elements(n, mixed),
+                  SemigroupSet.from_elements(n, late[:2]),
+                  closure(late, n)):
+            assert classify_semigroup(s) == oracle_semigroup_flags(s)
+
+
+def test_flags_at_n0():
+    # the empty set and {∅} on no points are every kind of semigroup
+    for elems, order in (((), 0), ((PInj.zero(0),), 1)):
+        flags = classify_semigroup(SemigroupSet.from_elements(0, elems))
+        assert flags == SemigroupFlags(order, *[True] * 6)

@@ -457,3 +457,14 @@ def test_search_open_prime_ground():
     rep = wit.search_open(5, samples=40, seed=3)
     assert set(rep.histogram) <= {0, 1, math.inf}
     assert math.inf in rep.histogram
+
+
+def test_search_open_rejects_small_ground_and_negative_samples():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="n >= 2"):
+            wit.search_open(n, samples=3)
+    with pytest.raises(ValueError, match="samples >= 0"):
+        wit.search_open(4, samples=-2)
+    for n in (2, 3):
+        assert wit.search_open(n, samples=5).histogram == {0: 5}
+    assert wit.search_open(4, samples=0).histogram == {}
