@@ -3,8 +3,9 @@
 Elements are packed into int8 matrices, one row per element, with the
 ground size n itself as the out-of-domain sentinel (rows index an augmented
 table whose last column is the sentinel, so composition is one gather).
-Little-endian bit packing is assumed when uint8 buffers are viewed as
-uint64 words; this matches every platform the package targets.
+Kernels gather with ``np.take`` and scatter with flat ``np.put``, well ahead
+of fancy indexing by int8 arrays.  Little-endian bit packing is assumed when
+uint8 buffers are viewed as uint64 words, as on every platform targeted.
 
 One index decoder yields the elements commuting with a permutation: per
 class of equal-length cycles, a partial injection between cycles and one
@@ -86,8 +87,8 @@ def _filter_mask(m: np.ndarray, n: int, filt: str) -> np.ndarray:
 
 # -- the index decoder --------------------------------------------------------
 
-# rows per decoded chunk; at n=25 a chunk's arrays stay near 100 KB, well
-# below glibc's mmap and trim thresholds, so streams take no page faults
+# rows per decoded chunk; at n=25 one centralizer stream peaks near 1.1 MB
+# traced, and after the first stream later ones take no page faults
 _CHUNK_ROWS = 1 << 12
 
 
@@ -125,16 +126,16 @@ def _class_choices(t: int, length: int, bounds: np.ndarray, tables: dict,
     ``bounds`` and ``tables`` are the class's parts from ``decoder``."""
     strata = np.searchsorted(bounds, k, side="right")
     choice = np.zeros((len(k), t), dtype=np.int8)
-    for r in range(max(strata.min(initial=t), 1), strata.max(initial=0) + 1):
-        rows = np.flatnonzero(strata == r)
-        if not len(rows):
-            continue
+    lo, hi = strata.min(initial=t), strata.max(initial=0)
+    for r in range(max(lo, 1), hi + 1):
+        rows = np.arange(len(k)) if lo == hi else np.flatnonzero(strata == r)
         if r not in tables:
             tables[r] = _stratum_tables(t, length, r)
         subsets, targets, shifts = tables[r]
         rest, offs = np.divmod(k[rows] - bounds[r - 1], length ** r)
         src, dst = np.divmod(rest, len(targets))
-        choice[rows[:, None], subsets[src]] = targets[dst] + shifts[offs]
+        np.put(choice, rows[:, None] * t + np.take(subsets, src, axis=0),
+               np.take(targets, dst, axis=0) + np.take(shifts, offs, axis=0))
     return choice
 
 
@@ -165,12 +166,12 @@ def monoid_decoder(n: int) -> list:
 
 def decode(n: int, parts: list, idx: np.ndarray) -> np.ndarray:
     """The int8 rows of options ``idx``: mixed-radix digits over the class
-    sizes, longest cycles fastest, one gather per class."""
+    sizes, longest cycles fastest, one ``np.take`` of rotations per class."""
     out = np.empty((len(idx), n), dtype=np.int8)
     for cols, rotated, t, length, bounds, tables in reversed(parts):
         idx, k = np.divmod(idx, bounds[-1])
-        out[:, cols] = rotated[_class_choices(t, length, bounds, tables, k)
-                               ].reshape(len(k), -1)
+        choice = _class_choices(t, length, bounds, tables, k)
+        out[:, cols] = np.take(rotated, choice, axis=0).reshape(-1, len(cols))
     return out
 
 
@@ -224,11 +225,11 @@ def element_rows(elems, n: int) -> np.ndarray:
 
 def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``int8[len(a), len(b), n]``: row [i, j] is the composite a_i·b_j
-    (a_i applied first), one gather of a through b's augmented matrix."""
+    (a_i applied first), one ``np.take`` of a through b's augmented rows."""
     if a.shape[1] != b.shape[1]:
         raise ValueError("row batches of different ground sizes")
     # gathered[j, i, x] = b_j(a_i(x))
-    return _augmented(b)[:, a].transpose(1, 0, 2)
+    return np.take(_augmented(b), a, axis=1).transpose(1, 0, 2)
 
 
 def commuting(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -89,23 +89,32 @@ class SemigroupSet:
     def __hash__(self):
         return hash((self.n, self.ids))
 
+    def _blocks(self) -> list:
+        """Index arrays of the rows, 64 a block, to bound the products."""
+        return np.split(np.arange(len(self)), range(64, len(self), 64))
+
     def _table(self):
-        """(rows m, ``products(m, m)``, each product's position or -1)."""
+        """(rows m, each product's int32 position or -1, all products 0)."""
         if "table" not in self._cache:
             m = element_rows(self.elements, self.n)
-            prod = products(m, m)
-            self._cache["table"] = m, prod, row_index(m, prod)
+            idx = np.empty((len(m), len(m)), np.int32)
+            null = True
+            for rows in self._blocks():
+                prod = products(m[rows], m)
+                idx[rows] = row_index(m, prod)
+                null = null and bool((prod == self.n).all())
+            self._cache["table"] = m, idx, null
         return self._cache["table"]
 
     def is_closed(self) -> bool:
-        return bool((self._table()[2] >= 0).all())
+        return bool((self._table()[1] >= 0).all())
 
     def is_commutative(self) -> bool:
         m = self._table()[0]
-        return bool(commuting(m, m).all())
+        return all(commuting(m[rows], m).all() for rows in self._blocks())
 
     def is_null(self) -> bool:
-        return bool((self._table()[1] == self.n).all())
+        return self._table()[2]
 
     def serialize(self) -> str:
         lines = [f"n={self.n} order={len(self.elements)}"]
@@ -149,13 +158,13 @@ def classify_semigroup(s: SemigroupSet) -> SemigroupFlags:
     monoid always commute, so regularity is the whole content here, but
     the idempotent check is run anyway because it is free.
     """
-    m, _, idx = s._table()
+    m, idx, _ = s._table()
     closed = s.is_closed()
     commutative = s.is_commutative()
     nilp = closed and bool(_filter_mask(m, s.n, "nilpotent").all())
     # a = e_i is regular when some x = e_j has a·x·a = a
-    at = np.arange(len(m))[:, None]
-    regular = closed and bool((idx[idx, at] == at).any(axis=1).all())
+    regular = closed and all((idx[idx[at], at[:, None]] == at[:, None])
+                             .any(axis=1).all() for at in s._blocks())
     idem = m[_filter_mask(m, s.n, "idempotent")]
     inverse = regular and bool(commuting(idem, idem).all())
     semilattice = closed and commutative and len(idem) == len(m)

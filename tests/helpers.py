@@ -10,6 +10,7 @@ from collections import deque
 
 import numpy as np
 
+from invsemi._bulk import _stratum_tables
 from invsemi.construct import SemigroupFlags
 from invsemi.pinj import PInj, UNDEF, decompose
 
@@ -58,6 +59,43 @@ def oracle_semigroup_flags(s) -> SemigroupFlags:
     semilattice = closed and commutative and len(idems) == len(els)
     return SemigroupFlags(len(els), closed, commutative, null, nilp,
                           inverse, semilattice)
+
+
+def oracle_products(a, b):
+    """``int8[len(a), len(b), n]`` with row [i, j] the composite a_i·b_j
+    (a_i applied first), by fancy indexing b's sentinel-augmented matrix
+    with the int8 rows of a: the reference for ``_bulk.products``, which
+    gathers with ``np.take``."""
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("row batches of different ground sizes")
+    aug = np.concatenate([b, np.full((len(b), 1), b.shape[1], np.int8)],
+                         axis=1)
+    return aug[:, a].transpose(1, 0, 2)
+
+
+def oracle_decode(n, parts, idx):
+    """The int8 rows of the options ``idx`` of ``_bulk.decoder`` tables
+    ``parts``, by fancy indexing with int8 index arrays and a 2-D fancy
+    scatter per stratum: the reference for ``_bulk.decode``, which gathers
+    with ``np.take`` and scatters with flat ``np.put``."""
+    out = np.empty((len(idx), n), dtype=np.int8)
+    for cols, rotated, t, length, bounds, tables in reversed(parts):
+        idx, k = np.divmod(idx, bounds[-1])
+        strata = np.searchsorted(bounds, k, side="right")
+        choice = np.zeros((len(k), t), dtype=np.int8)
+        for r in range(max(strata.min(initial=t), 1),
+                       strata.max(initial=0) + 1):
+            rows = np.flatnonzero(strata == r)
+            if not len(rows):
+                continue
+            if r not in tables:
+                tables[r] = _stratum_tables(t, length, r)
+            subsets, targets, shifts = tables[r]
+            rest, offs = np.divmod(k[rows] - bounds[r - 1], length ** r)
+            src, dst = np.divmod(rest, len(targets))
+            choice[rows[:, None], subsets[src]] = targets[dst] + shifts[offs]
+        out[:, cols] = rotated[choice].reshape(len(k), -1)
+    return out
 
 
 def brute_adjacency(elements):

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from invsemi import _bulk
 from invsemi._bulk import (commuting, element_rows, products,
                            row_element, row_index)
-from invsemi.commute import (CommuteChecker, centralizer, commutes_naive,
+from invsemi.commute import (CommuteChecker, _cycle_classes, centralizer,
+                             commutes_naive,
                              commutes_structural,
                              iter_permutation_centralizer,
                              iter_permutation_centralizer_chunks,
@@ -22,8 +23,9 @@ from invsemi.pinj import (PInj, UNDEF, compose, element_from_id, monoid_order,
                           parse, power, join)
 from invsemi.witnesses import _proper_divisors, prime_power_pair
 
-from helpers import (oracle_commutes, oracle_joint_centralizer,
-                     oracle_overlap_classes, oracle_permutation_centralizer)
+from helpers import (oracle_commutes, oracle_decode, oracle_joint_centralizer,
+                     oracle_overlap_classes, oracle_permutation_centralizer,
+                     oracle_products)
 
 
 def all_elements(n):
@@ -85,6 +87,44 @@ def test_products_match_compose(n):
         assert got.dtype == np.int8 and got.shape == (size_a, size_b, n)
         want = element_rows([compose(x, y) for x in xs for y in ys], n)
         assert got.reshape(len(want), n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+def test_take_kernels_match_fancy_index_oracle(n):
+    # rows of real elements with the zero map and the identity among them,
+    # as they are, as strided row slices, and as Fortran-ordered copies
+    rng = np.random.default_rng(n)
+    parts = _bulk.monoid_decoder(n)
+    for size_a, size_b in ((0, 0), (0, 4), (4, 0), (1, 1), (7, 13), (64, 40)):
+        a, b = (_bulk.decode(n, parts, rng.integers(0, monoid_order(n), size))
+                for size in (size_a, size_b))
+        a[:2] = np.vstack([np.full(n, n), np.arange(n)])[:len(a)]
+        b[-1:] = n
+        for x, y in ((a, b), (a[::2], b[1::3]), (np.asfortranarray(a), b),
+                     (a[::-1], np.asfortranarray(b[::2]))):
+            got, want = products(x, y), oracle_products(x, y)
+            assert got.dtype == np.int8 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(commuting(x, y), (want == oracle_products(
+                y, x).transpose(1, 0, 2)).all(axis=2))
+
+
+def test_decode_matches_fancy_index_oracle_on_mixed_cycle_lengths():
+    # cycle type (3, 3, 2, 2, 1) on 11 points: three classes, decoded as
+    # streamed, in random order with repeats, and straddling strata
+    a = join(11, cycles=[(0, 4, 8), (1, 9, 2), (3, 10), (5, 7), (6,)])
+    assert a.is_permutation()
+    parts = _bulk.decoder(11, _cycle_classes(a))
+    total = permutation_centralizer_order(a)
+    assert total == 31 * 17 * 2
+    rows = np.concatenate(list(iter_permutation_centralizer_chunks(a)))
+    assert rows.tobytes() == oracle_decode(11, parts, np.arange(total)
+                                           ).tobytes()
+    ids = np.random.default_rng(11).integers(0, total, 3000)
+    assert _bulk.decode(11, parts, ids).tobytes() == oracle_decode(
+        11, parts, ids).tobytes()
+    want = element_rows(list(oracle_permutation_centralizer(a)), 11)
+    assert set(map(tuple, rows.tolist())) == set(map(tuple, want.tolist()))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 8, 20, 32])

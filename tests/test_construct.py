@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -13,7 +14,7 @@ from invsemi.construct import (SemigroupFlags, SemigroupSet,
                                closure, count_elements, enumerate_elements,
                                idempotent_semilattice,
                                max_commutative_nilpotent, null_semigroup)
-from invsemi.pinj import (PInj, element_from_id, element_id,
+from invsemi.pinj import (PInj, UNDEF, element_from_id, element_id,
                           format_element, monoid_order, power)
 
 from helpers import oracle_semigroup_flags
@@ -298,6 +299,57 @@ def test_flags_match_pairwise_oracle():
         count += 1
     assert count == 1688
     assert len(combos) == 12
+
+
+def widened(elements, n, *extra):
+    """``elements`` on n points, with the maps ``extra`` added."""
+    return SemigroupSet.from_elements(n, [
+        PInj(n, e.img + (UNDEF,) * (n - e.n)) for e in elements] +
+        [PInj.from_dict(n, m) for m in extra])
+
+
+def test_flags_across_product_blocks():
+    # the table is made 64 rows at a time: sets of two to four blocks,
+    # closed or not, with a flag's witness in any block
+    rng = random.Random(64)
+    i4 = SemigroupSet.from_elements(4, enumerate_elements(4))
+    null7 = next(balanced_null_semigroups(7)).elements
+    sets = [i4, idempotent_semilattice(7), idempotent_semilattice(8),
+            widened(null7, 7), next(balanced_null_semigroups(8)),
+            SemigroupSet.from_elements(4, rng.sample(i4.elements, 150)),
+            SemigroupSet.from_elements(
+                7, idempotent_semilattice(7).elements[1:])]
+    assert [len(s) for s in sets] == [209, 128, 256, 73, 209, 150, 127]
+    # each flag's only witness outside the first block, or only inside it,
+    # on spare points whose products with the rest are the zero map
+    sets += [
+        # not regular: the chain 8 -> 9 ranks after the 65-row rank-1 ideal
+        widened(enumerate_elements(8, max_rank=1), 10, {8: 9}),
+        # not commutative: two permutations of 7..10 after the semilattice
+        widened(idempotent_semilattice(7).elements, 11,
+                {7: 8, 8: 9, 9: 10, 10: 7}, {7: 8, 8: 7, 9: 9, 10: 10}),
+        # not null: an idempotent on point 10 among the first rows
+        widened(null7, 11, {10: 10})]
+    assert [len(s) for s in sets[-3:]] == [66, 130, 74]
+    for s in sets:
+        assert classify_semigroup(s) == oracle_semigroup_flags(s)
+
+
+def test_classify_monoid_n5_memory():
+    # the table keeps int32 positions and makes products 64 rows at a
+    # time: all of I(5), 2.4 M products, peaks near 14 MB traced
+    s = SemigroupSet.from_elements(5, enumerate_elements(5))
+    tracemalloc.start()
+    try:
+        flags = classify_semigroup(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
+    # oracle_semigroup_flags(s) gives the same flags, in about 20 s
+    assert flags == SemigroupFlags(1546, closed=True, commutative=False,
+                                   null=False, nilpotent=False, inverse=True,
+                                   semilattice=False)
 
 
 def test_flags_above_int64_row_codes():

@@ -8,7 +8,7 @@ import pytest
 from invsemi import _bulk
 from invsemi import graph as gm
 from invsemi._bulk import (adjacency_packed, conjugacy_classes, decode,
-                           elements_matrix, iter_matrix_chunks,
+                           decode_chunks, elements_matrix, iter_matrix_chunks,
                            monoid_decoder, pack_bool_rows, row_element)
 from invsemi.commute import iter_permutation_centralizer_chunks
 from invsemi.construct import max_commutative_nilpotent
@@ -17,7 +17,7 @@ from invsemi.pinj import (PInj, UNDEF, decompose, element_from_id,
 
 from helpers import (brute_adjacency, brute_components, brute_distance,
                      brute_eccentricity, brute_max_cliques,
-                     dense_adjacency_packed)
+                     dense_adjacency_packed, oracle_decode)
 
 
 def graph_elements(g):
@@ -72,6 +72,44 @@ def test_decoder_at_stratum_edges():
         rows = decode(n, parts, ids)
         assert [row_element(n, r) for r in rows] == [
             element_from_id(n, int(i)) for i in ids]
+
+
+def assert_same_rows(got, want):
+    assert got.dtype == want.dtype == np.int8 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_decode_matches_fancy_index_oracle_on_every_id(n):
+    # all IDs at once straddle every stratum; the chunks of n = 7 include
+    # some that lie in one stratum
+    parts = monoid_decoder(n)
+    ids = np.arange(monoid_order(n))
+    assert_same_rows(decode(n, parts, ids), oracle_decode(n, parts, ids))
+    for lo, rows in decode_chunks(n, parts, 0, monoid_order(n)):
+        assert_same_rows(rows, oracle_decode(
+            n, parts, np.arange(lo, lo + len(rows))))
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_decode_matches_fancy_index_oracle_on_scrambled_ids(n):
+    parts = monoid_decoder(n)
+    bounds = np.cumsum([0] + stratum_sizes(n))
+    rng = np.random.default_rng(n)
+    # a run across every stratum edge, shuffled, then random and repeated
+    # IDs; and random IDs of the top stratum alone (no flatnonzero)
+    edges = (bounds[1:-1, None] + np.arange(-3, 3)).ravel().clip(0)
+    ids = np.concatenate([rng.permutation(edges),
+                          rng.integers(0, bounds[-1], 2000), edges[::-1],
+                          np.repeat(bounds[-2] + rng.integers(0, 9, 7), 3)])
+    top = bounds[-2] + rng.integers(0, math.factorial(n), 500)
+    for batch in (ids, top):
+        assert_same_rows(decode(n, parts, batch),
+                         oracle_decode(n, parts, batch))
+    # the oracle cannot reshape an empty batch; the kernel can
+    assert decode(n, parts, ids[:0]).shape == (0, n)
+    assert [row_element(n, r) for r in decode(n, parts, ids[:60])] == [
+        element_from_id(n, int(i)) for i in ids[:60]]
 
 
 @pytest.mark.parametrize("n, limit_mb", [(9, 32), (10, 256)])

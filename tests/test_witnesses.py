@@ -2,15 +2,17 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import deque
 
 import pytest
 
-from invsemi import commute, graph as gm, witnesses as wit
+from invsemi import _bulk, commute, graph as gm, witnesses as wit
 from invsemi.pinj import (PInj, UNDEF, classify, decompose, element_from_id,
                           format_element, join, monoid_order, parse, power)
 
-from helpers import (oracle_commutes, oracle_full_cycle_distance,
+from helpers import (oracle_commutes, oracle_decode,
+                     oracle_full_cycle_distance,
                      oracle_permutation_centralizer, perfect_matchings)
 
 
@@ -309,6 +311,60 @@ def test_verify_distance5_nine_points():
     assert rep.path.vertices[0] == rep.alpha
     assert rep.path.vertices[-1] == rep.beta
     rep.path.validate(excluded=(PInj.zero(9), PInj.identity(9)))
+
+
+def checked_decode(monkeypatch) -> list:
+    """Make every ``_bulk.decode`` call also run ``oracle_decode`` and
+    demand the same bytes; returns the list of decoded row counts."""
+    real, seen = _bulk.decode, []
+
+    def decode(n, parts, idx):
+        rows = real(n, parts, idx)
+        want = oracle_decode(n, parts, idx)
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+        seen.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(_bulk, "decode", decode)
+    return seen
+
+
+def pivot_stream_n25():
+    """The centralizer of the first cycle's power 5 at n = 25, and the
+    second cycle's pivots, as ``verify_distance5(25)`` streams them."""
+    alpha, beta = wit.prime_power_pair(5, 2)
+    return power(alpha, 5), wit._powers(beta)[1].values()
+
+
+def test_centralizer_stream_n25_matches_fancy_index_oracle(monkeypatch):
+    seen = checked_decode(monkeypatch)
+    meets, rows = wit._centralizer_meet(*pivot_stream_n25())
+    assert rows == sum(seen) == 830_126 and len(seen) == 203
+    assert [len(m) for m in meets] == [2]
+
+
+@pytest.mark.parametrize("certify, n", [(wit.verify_distance5, 9),
+                                        (wit.dolzan_distance_check, 10)])
+def test_streamed_pivots_match_fancy_index_oracle(monkeypatch, certify, n):
+    seen = checked_decode(monkeypatch)
+    rep = certify(n)
+    assert rep.passed and seen
+    streamed = [c[2] for c in rep.checks if c[0].startswith("streaming")]
+    assert sum(seen) >= sum(int(d.split()[0]) for d in streamed) > 0
+
+
+def test_centralizer_stream_n25_memory():
+    # each 4,096-row chunk is decoded and tested, then dropped: the traced
+    # peak is about 1.1 MB, whatever the stream's length
+    x, ys = pivot_stream_n25()
+    tracemalloc.start()
+    try:
+        meets, rows = wit._centralizer_meet(x, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 830_126
+    assert peak < 2 << 20
 
 
 def lossy_stream(monkeypatch):
