@@ -23,12 +23,13 @@ The adjacency kernel exploits that conjugation by a permutation of the
 ground set preserves commutation.  Conjugation by the transposition (0 1)
 and by the n-cycle, which generate S_n, map the rows to row indices; the
 conjugacy classes of a row set closed under both are the orbits of the two
-maps.  Pulling each row's lowest index along one map at a time finds them,
-and the pulls form a Schreier forest rooted at the representatives.  The
-kernel compares one representative row per class against all rows with
-dense gathers, and builds every other row from the row it pulled from,
-gathering the columns through that pull's map; other row sets compare
-every row densely.
+maps.  ``orbit_forest`` finds them in one pass, pulling each row's lowest
+index along one map at a time, and the pulls form a Schreier forest rooted
+at the representatives.  A graph keeps the classes its build found, and
+``adjacency_packed`` takes the forest: it compares one representative row
+per class against all rows with dense gathers, and builds every other row
+from the row it pulled from with ``gather_packed``, gathering the columns
+through that pull's map; other row sets compare every row densely.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ __all__ = [
     "products",
     "commuting",
     "row_index",
+    "orbit_forest",
     "adjacency_packed",
-    "conjugacy_classes",
+    "gather_packed",
     "pack_bool_rows",
 ]
 
@@ -65,13 +67,13 @@ def _augmented(m: np.ndarray) -> np.ndarray:
 
 
 def _nilpotent_mask(m: np.ndarray, n: int) -> np.ndarray:
-    """Rows whose map has no cycle: n-fold self-composition reaches the
-    empty map exactly for nilpotents."""
-    aug = _augmented(m)
-    v = m.astype(np.int64)
-    for _ in range(n):
-        v = np.take_along_axis(aug, v, axis=1).astype(np.int64)
-    return (v == n).all(axis=1)
+    """Rows whose map has no cycle: exactly the nilpotents have an empty
+    n-th power, and ⌈log2 n⌉ squarings of the augmented rows (v ← v∘v)
+    reach a power of at least n."""
+    v = _augmented(m)
+    for _ in range(max(n - 1, 0).bit_length()):
+        v = np.take_along_axis(v, v, axis=1)
+    return (v[:, :n] == n).all(axis=1)
 
 
 def _filter_mask(m: np.ndarray, n: int, filt: str) -> np.ndarray:
@@ -283,20 +285,22 @@ def _conjugation_maps(m: np.ndarray) -> list:
     return list(maps)
 
 
-def _orbits(maps: list, big_n: int):
-    """(representatives, inverse, pulls) of the orbits of the group the
-    maps generate.
+def orbit_forest(m: np.ndarray):
+    """(representatives, inverse, pulls): the conjugacy classes of the rows
+    and the Schreier forest that finds them, in one pass.
 
-    Step t pulls each row's lowest index along map t mod len(maps), until
-    a round of every map moves nothing.  A row u's last pull, by g, read
-    row g[u] when that row already held the final index, so g[u] is in u's
-    class and was last pulled at an earlier step or is a representative:
-    the pulls form a Schreier forest rooted at the representatives.
-    ``pulls`` lists (g, rows last pulled by g) in step order, which builds
-    the forest from its roots; row u's parent is g[u].
+    Step t pulls each row's lowest index along map t mod 2 of
+    ``_conjugation_maps``, until a round of both moves nothing.  A row u's
+    last pull, by g, read row g[u] when that row already held the final
+    index, so g[u] is in u's class and was last pulled earlier or is a
+    representative (the lowest index of a class; they ascend).
+    ``inverse`` is each row's class position, and ``pulls`` lists (g, rows
+    last pulled by g) in step order, from the roots out.  Rows that repeat
+    or have a conjugate outside the set are each their own class.
     """
-    low = np.arange(big_n)
-    step = np.full(big_n, -1)
+    maps = _conjugation_maps(m)
+    low = np.arange(len(m))
+    step = np.full(len(m), -1)
     t = idle = 0
     while idle < len(maps):
         g = maps[t % len(maps)]
@@ -312,34 +316,35 @@ def _orbits(maps: list, big_n: int):
     return reps, np.searchsorted(reps, low), pulls
 
 
-def conjugacy_classes(m: np.ndarray):
-    """(representatives, inverse): the lowest-index row of each class and,
-    per row, the position of its class's representative.
+def gather_packed(packed: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """Packed rows ``rows`` of ``packed`` with their columns gathered
+    through ``cols``: bit j of row i is bit cols[j] of row rows[i].  Works
+    in blocks of _ADJACENCY_BLOCK rows; padding bits stay clear."""
+    out = np.empty((len(rows), (len(cols) + 63) // 64), dtype=np.uint64)
+    for s in range(0, len(rows), _ADJACENCY_BLOCK):
+        block = packed[rows[s:s + _ADJACENCY_BLOCK]].view(np.uint8)
+        bits = np.unpackbits(block, axis=1, bitorder="little").view(bool)
+        out[s:s + _ADJACENCY_BLOCK] = pack_bool_rows(
+            np.take(bits, cols, axis=1), len(cols))
+    return out
 
-    Conjugation by a permutation of the ground set preserves commutation,
-    so on a row set closed under it each class, an orbit of the conjugation
-    maps by (0 1) and by the n-cycle, is one orbit of graph automorphisms;
-    ``_orbits`` pulls the lowest index along the maps.  Representatives
-    come out in ascending index order.  A set with repeated rows or a
-    conjugate outside it has every row as its own representative.
-    """
-    return _orbits(_conjugation_maps(m), len(m))[:2]
 
+def adjacency_packed(m: np.ndarray, forest) -> np.ndarray:
+    """Commutation adjacency of all row pairs, bit-packed, diagonal clear,
+    given the rows' ``orbit_forest``.
 
-def adjacency_packed(m: np.ndarray) -> np.ndarray:
-    """Commutation adjacency of all row pairs, bit-packed, diagonal clear.
-
-    Only one representative row per conjugacy class, an orbit of the two
-    maps of ``_conjugation_maps``, is compared densely against the whole
-    matrix.  Every other row u is built along the orbit pulls of
-    ``_orbits``, from the row g[u] it pulled from: g is an automorphism,
-    so A[u, w] = A[g[u], g[w]], and row u is row g[u] with its columns
-    gathered through g (the diagonal stays clear).  A row set not closed
-    under conjugation has no maps, so then every row is compared densely.
+    Only one representative row per conjugacy class is compared densely
+    against the whole matrix.  Every other row u is built along the
+    forest's pulls, from the row g[u] it pulled from: g is an
+    automorphism, so A[u, w] = A[g[u], g[w]], and row u is row g[u] with
+    its columns gathered through g (the diagonal stays clear).  A row set
+    not closed under conjugation has every row as a representative, so
+    then every row is compared densely.
     """
     big_n = len(m)
     out = np.empty((big_n, (big_n + 63) // 64), dtype=np.uint64)
-    reps, _, pulls = _orbits(_conjugation_maps(m), big_n)
+    reps, _, pulls = forest
     for s in range(0, len(reps), _ADJACENCY_BLOCK):
         rows = reps[s:s + _ADJACENCY_BLOCK]
         eq = commuting(m[rows], m)
@@ -348,7 +353,5 @@ def adjacency_packed(m: np.ndarray) -> np.ndarray:
     for g, new in pulls:
         for s in range(0, len(new), _ADJACENCY_BLOCK):
             rows = new[s:s + _ADJACENCY_BLOCK]
-            bits = np.unpackbits(out[g[rows]].view(np.uint8), axis=1,
-                                 count=big_n, bitorder="little").view(bool)
-            out[rows] = pack_bool_rows(np.take(bits, g, axis=1), big_n)
+            out[rows] = gather_packed(out, g[rows], g)
     return out

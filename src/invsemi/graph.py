@@ -5,7 +5,9 @@ commuting elements, and declared central elements are excluded up front.
 Adjacency lives in a bit-packed uint64 matrix; breadth-first searches run
 over Python-int rows (word-parallel OR), and the clique solver is a
 branch-and-bound with greedy coloring bounds over the same bitsets, with
-k-core peeling in numpy to shrink hard instances first.
+a k-core peel in numpy to shrink hard instances first.  A graph keeps the
+conjugacy classes its build found (conjugation is a graph automorphism):
+degrees, the peel and the BFS sources read one row per class.
 
 Everything here is deterministic: vertex order is ID order, path
 reconstruction always picks the lowest-index predecessor, and clique
@@ -23,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bulk import (adjacency_packed, conjugacy_classes, decode,
-                    elements_matrix, monoid_decoder, pack_bool_rows,
-                    row_element)
+from ._bulk import (adjacency_packed, decode, elements_matrix,
+                    gather_packed, monoid_decoder, orbit_forest,
+                    pack_bool_rows, row_element)
 from .commute import commutes_naive
 from .construct import count_elements
 from .pinj import PInj, element_from_id, element_id, format_element
@@ -147,16 +149,19 @@ class DistanceResult:
 
 
 class CommutingGraph:
-    """Bit-packed commuting graph over a fixed element family."""
+    """Bit-packed commuting graph over a fixed element family; ``classes``
+    is (reps, inverse) of its rows' ``_bulk.orbit_forest``."""
 
-    __slots__ = ("n", "ids", "imgs", "packed", "center_ids", "label",
-                 "_rows", "_idmap")
+    __slots__ = ("n", "ids", "imgs", "packed", "reps", "inverse",
+                 "center_ids", "label", "_rows", "_idmap")
 
-    def __init__(self, n, ids, imgs, packed, center_ids=(), label=""):
+    def __init__(self, n, ids, imgs, packed, classes, center_ids=(),
+                 label=""):
         self.n = int(n)
         self.ids = np.asarray(ids, dtype=np.int64)
         self.imgs = np.asarray(imgs, dtype=np.int8)
         self.packed = np.asarray(packed, dtype=np.uint64)
+        self.reps, self.inverse = classes
         self.center_ids = tuple(sorted(int(c) for c in center_ids))
         self.label = label
         self._rows = None
@@ -167,7 +172,9 @@ class CommutingGraph:
         return len(self.ids)
 
     def degrees(self) -> np.ndarray:
-        return np.bitwise_count(self.packed).sum(axis=1, dtype=np.int64)
+        """Per-vertex degree, counted on the representative rows."""
+        counts = np.bitwise_count(self.packed[self.reps])
+        return counts.sum(axis=1, dtype=np.int64)[self.inverse]
 
     def num_edges(self) -> int:
         return int(self.degrees().sum()) // 2
@@ -216,8 +223,9 @@ def graph_from_matrix(n, ids, mat, center_ids=(), label="",
         ids, mat = ids[keep], mat[keep]
     if len(ids) > vertex_cap:
         raise ValueError(f"{len(ids)} vertices exceeds cap {vertex_cap}")
-    packed = adjacency_packed(mat)
-    return CommutingGraph(n, ids, mat, packed, center_ids, label)
+    forest = orbit_forest(mat)
+    packed = adjacency_packed(mat, forest)
+    return CommutingGraph(n, ids, mat, packed, forest[:2], center_ids, label)
 
 
 def build_graph(n: int, filt: str = "all", max_rank=None, center="monoid",
@@ -253,30 +261,19 @@ def build_graph(n: int, filt: str = "all", max_rank=None, center="monoid",
     return graph_from_matrix(n, ids, mat, center_ids, label, vertex_cap)
 
 
-def _extract_packed(packed: np.ndarray, row_idx: np.ndarray,
-                    col_idx: np.ndarray) -> np.ndarray:
-    """Sub-adjacency for selected rows and (reordered) columns."""
-    out_words = (len(col_idx) + 63) // 64
-    out = np.empty((len(row_idx), out_words), dtype=np.uint64)
-    step = max(1, (1 << 24) // max(1, packed.shape[1] * 64))
-    for s in range(0, len(row_idx), step):
-        chunk = row_idx[s:s + step]
-        bits = np.unpackbits(packed[chunk].view(np.uint8), axis=1,
-                             bitorder="little")[:, col_idx]
-        out[s:s + len(chunk)] = pack_bool_rows(bits.astype(bool), len(col_idx))
-    return out
-
-
 def induced_subgraph(g: CommutingGraph, keep, label=None) -> CommutingGraph:
-    """Subgraph on a subset of vertices (indices or a boolean mask)."""
+    """Subgraph on a subset of vertices (indices or a boolean mask), with
+    the classes ``orbit_forest`` finds on the kept rows."""
     keep = np.asarray(keep)
     if keep.dtype == bool:
         keep = np.flatnonzero(keep)
     else:
         keep = np.unique(keep)
-    packed = _extract_packed(g.packed, keep, keep)
-    return CommutingGraph(g.n, g.ids[keep], g.imgs[keep], packed,
-                          g.center_ids, label or f"{g.label}-induced")
+    imgs = g.imgs[keep]
+    return CommutingGraph(g.n, g.ids[keep], imgs,
+                          gather_packed(g.packed, keep, keep),
+                          orbit_forest(imgs)[:2], g.center_ids,
+                          label or f"{g.label}-induced")
 
 
 # -- breadth-first machinery ----------------------------------------------------
@@ -341,23 +338,17 @@ def eccentricities(g: CommutingGraph):
 
     On a vertex set closed under conjugation, conjugation is a graph
     automorphism, so BFS results are constant on each conjugacy class and
-    one BFS from its lowest-index member serves the whole class; otherwise
-    every vertex is its own source.  The classes are the orbits of the
-    conjugations by the two generators of S_n, found by pulling the
-    lowest index along them; the adjacency build follows the same pulls,
-    building each other row from the row it pulled from (see
-    ``_bulk.conjugacy_classes``).
+    one BFS from the class's representative, ``g.reps``, serves the whole
+    class; otherwise every vertex is its own class and its own source.
+    The classes are the ones the graph's build found (``g.inverse``).
     """
     nverts = g.num_vertices
     rows = g.rows()
-    sources, inverse = conjugacy_classes(g.imgs)
-    ecc = np.empty(len(sources), dtype=np.int64)
-    reached = np.empty(len(sources), dtype=np.int64)
-    for k, s in enumerate(sources):
+    out = np.empty((2, len(g.reps)), dtype=np.int64)
+    for k, s in enumerate(g.reps):
         levels, seen = _bfs(rows, nverts, int(s))
-        ecc[k] = len(levels) - 1
-        reached[k] = seen.bit_count()
-    return ecc[inverse], reached[inverse]
+        out[:, k] = len(levels) - 1, seen.bit_count()
+    return tuple(out[:, g.inverse])
 
 
 def components(g: CommutingGraph):
@@ -406,20 +397,24 @@ def _alive_words(alive: np.ndarray) -> np.ndarray:
     return pack_bool_rows(alive[None, :], len(alive))[0]
 
 
-def _core_mask(packed: np.ndarray, min_deg: int) -> np.ndarray:
+def _core_mask(g: CommutingGraph, min_deg: int) -> np.ndarray:
     """Iterated peel: keep vertices with at least ``min_deg`` surviving
-    neighbors.  Contains every clique on more than ``min_deg`` vertices."""
-    alive = np.ones(packed.shape[0], dtype=bool)
+    neighbors.  Contains every clique on more than ``min_deg`` vertices.
+    Peels whole classes: the alive set stays a union of classes, which
+    conjugation maps onto itself, so each vertex counts as its class's
+    representative does."""
+    keep = np.ones(len(g.reps), dtype=bool)
     while True:
-        aw = _alive_words(alive)
-        idx = np.flatnonzero(alive)
-        if not len(idx):
+        alive = keep[g.inverse]
+        live = np.flatnonzero(keep)
+        if not len(live):
             return alive
-        degs = np.bitwise_count(packed[idx] & aw[None, :]).sum(axis=1)
+        degs = np.bitwise_count(g.packed[g.reps[live]]
+                                & _alive_words(alive)).sum(axis=1)
         drop = degs < min_deg
         if not drop.any():
             return alive
-        alive[idx[drop]] = False
+        keep[live[drop]] = False
 
 
 def _greedy_from(rows, start, by_degree):
@@ -524,8 +519,8 @@ def _relabeled_rows(g, alive: np.ndarray):
     aw = _alive_words(alive)
     sub_degs = np.bitwise_count(g.packed[idx] & aw[None, :]).sum(axis=1)
     order = idx[np.lexsort((idx, -sub_degs))]
-    packed = _extract_packed(g.packed, order, order)
-    rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    rows = [int.from_bytes(r.tobytes(), "little")
+            for r in gather_packed(g.packed, order, order)]
     return rows, tuple(order.tolist())
 
 
@@ -589,7 +584,7 @@ def clique_number(g: CommutingGraph, budget_seconds=None,
         degs = g.degrees()
         seed = _greedy_best(full_rows, degs)
         while True:
-            alive = _core_mask(g.packed, min_deg=len(seed))
+            alive = _core_mask(g, min_deg=len(seed))
             if not alive.any():
                 break
             improved = _greedy_best(full_rows, degs, starts=16, within=alive)
@@ -628,7 +623,7 @@ def maximum_cliques(g: CommutingGraph, budget_seconds=None,
         size, _ = clique_number(g, budget_seconds=left, resume=resume)
         if not size:
             return [()]
-        alive = _core_mask(g.packed, min_deg=size - 1)
+        alive = _core_mask(g, min_deg=size - 1)
         rows, order = _relabeled_rows(g, alive)
         roots = range(len(rows))
         found = []
@@ -738,4 +733,5 @@ def load_packed(path) -> CommutingGraph:
     # rejects it if too big.
     element_from_id(n, int(ids.max()) if nverts else 0)
     imgs = decode(n, monoid_decoder(n), ids.astype(np.int64))
-    return CommutingGraph(n, ids, imgs, packed, center_ids, label)
+    return CommutingGraph(n, ids, imgs, packed, orbit_forest(imgs)[:2],
+                          center_ids, label)

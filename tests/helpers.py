@@ -10,7 +10,7 @@ from collections import deque
 
 import numpy as np
 
-from invsemi._bulk import _stratum_tables
+from invsemi._bulk import _stratum_tables, pack_bool_rows
 from invsemi.construct import SemigroupFlags
 from invsemi.pinj import PInj, UNDEF, decompose
 
@@ -107,6 +107,31 @@ def brute_adjacency(elements):
                 adj[i].add(j)
                 adj[j].add(i)
     return adj
+
+
+def oracle_degrees(g):
+    """Per-vertex degrees of a commuting graph, one popcount per row: the
+    reference for ``CommutingGraph.degrees``, which counts the
+    representative row of each conjugacy class only."""
+    return np.bitwise_count(g.packed).sum(axis=1, dtype=np.int64)
+
+
+def oracle_core_mask(packed, min_deg):
+    """The vertices left by peeling, one row at a time, every vertex with
+    fewer than ``min_deg`` alive neighbours until none is left to peel:
+    the reference for ``graph._core_mask``, which peels whole conjugacy
+    classes by their representatives' counts."""
+    alive = np.ones(packed.shape[0], dtype=bool)
+    while True:
+        words = pack_bool_rows(alive[None, :], len(alive))[0]
+        idx = np.flatnonzero(alive)
+        if not len(idx):
+            return alive
+        degs = np.bitwise_count(packed[idx] & words).sum(axis=1)
+        drop = degs < min_deg
+        if not drop.any():
+            return alive
+        alive[idx[drop]] = False
 
 
 def dense_adjacency_packed(mat, rows=None, block=256):

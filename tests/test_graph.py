@@ -7,17 +7,18 @@ import pytest
 
 from invsemi import _bulk
 from invsemi import graph as gm
-from invsemi._bulk import (adjacency_packed, conjugacy_classes, decode,
-                           decode_chunks, elements_matrix, iter_matrix_chunks,
-                           monoid_decoder, pack_bool_rows, row_element)
+from invsemi._bulk import (adjacency_packed, decode, decode_chunks,
+                           elements_matrix, iter_matrix_chunks, monoid_decoder,
+                           orbit_forest, pack_bool_rows, row_element)
 from invsemi.commute import iter_permutation_centralizer_chunks
 from invsemi.construct import max_commutative_nilpotent
-from invsemi.pinj import (PInj, UNDEF, decompose, element_from_id,
+from invsemi.pinj import (PInj, UNDEF, classify, decompose, element_from_id,
                           element_id, monoid_order, stratum_sizes)
 
 from helpers import (brute_adjacency, brute_components, brute_distance,
                      brute_eccentricity, brute_max_cliques,
-                     dense_adjacency_packed, oracle_decode)
+                     dense_adjacency_packed, oracle_core_mask, oracle_decode,
+                     oracle_degrees)
 
 
 def graph_elements(g):
@@ -31,7 +32,8 @@ def synthetic_graph(nv, p, seed, n=6):
     packed = pack_bool_rows(mat, nv)
     ids = np.arange(nv, dtype=np.int64)
     imgs = np.full((nv, n), n, dtype=np.int8)
-    return gm.CommutingGraph(n, ids, imgs, packed, (), f"rand{nv}")
+    return gm.CommutingGraph(n, ids, imgs, packed, orbit_forest(imgs)[:2],
+                             (), f"rand{nv}")
 
 
 # -- bulk element matrices ---------------------------------------------------------
@@ -45,6 +47,15 @@ def test_elements_matrix_counts():
         back = [element_from_id(n, int(i)) for i in ids]
         for e, row in zip(back, mat):
             assert [x if x != n else -1 for x in row] == list(e.img)
+
+
+def test_nilpotent_mask_matches_classify():
+    # the squaring test against the cycle-chain decomposition, on all of I(n)
+    for n in range(8):
+        _, mat = elements_matrix(n)
+        want = [classify(row_element(n, row)).kind in ("zero", "nilpotent")
+                for row in mat]
+        assert _bulk._nilpotent_mask(mat, n).tolist() == want
 
 
 def test_matrix_chunks_cover(monkeypatch):
@@ -132,7 +143,7 @@ def test_enumeration_memory_at_the_cap(n, limit_mb):
 def test_adjacency_packed_matches_oracle():
     for n in (2, 3):
         ids, mat = elements_matrix(n)
-        packed = adjacency_packed(mat)
+        packed = adjacency_packed(mat, orbit_forest(mat))
         els = [element_from_id(n, int(i)) for i in ids]
         adj = brute_adjacency(els)
         for i in range(len(els)):
@@ -161,8 +172,9 @@ def row_types(n, mat):
 
 
 def run_kernel(mat, monkeypatch):
-    """``adjacency_packed(mat)``, the number of rows it compared densely
-    against the whole matrix, and its tracemalloc peak in bytes."""
+    """``adjacency_packed`` of ``mat`` and its ``orbit_forest``, the number
+    of rows it compared densely against the whole matrix, and the
+    tracemalloc peak of both in bytes."""
     dense = []
     inner = _bulk.commuting
 
@@ -175,7 +187,7 @@ def run_kernel(mat, monkeypatch):
         mp.setattr(_bulk, "commuting", counting)
         tracemalloc.start()
         try:
-            packed = adjacency_packed(mat)
+            packed = adjacency_packed(mat, orbit_forest(mat))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -217,8 +229,7 @@ def check_forest(mat):
     """The orbit pulls form a Schreier forest: each non-representative row
     is pulled last exactly once, from a row in its own class that is a
     representative or was pulled last at an earlier step."""
-    reps, inverse, pulls = _bulk._orbits(_bulk._conjugation_maps(mat),
-                                         len(mat))
+    reps, inverse, pulls = orbit_forest(mat)
     unset = len(pulls)
     step = np.full(len(mat), unset)
     step[reps] = -1
@@ -254,7 +265,7 @@ def test_conjugacy_classes_are_conjugation_orbits():
             for max_rank in (None, *range(1, n)):
                 ids, mat = elements_matrix(n, filt, max_rank)
                 for rows in (mat, mat[ids != 0]):
-                    reps, inverse = conjugacy_classes(rows)
+                    reps, inverse, _ = orbit_forest(rows)
                     index = {r.tobytes(): i for i, r in enumerate(rows)}
                     for _ in range(3):
                         s = rng.permutation(n)
@@ -269,6 +280,42 @@ def test_conjugacy_classes_are_conjugation_orbits():
                     assert (reps[inverse] <= np.arange(len(rows))).all()
 
 
+def with_twin(g, k):
+    """``g`` with a copy of vertex k appended: same element, same
+    neighbours, and adjacent to k.  Its rows repeat, so ``orbit_forest``
+    gives every vertex its own class."""
+    big_n = g.num_vertices
+    idx = np.append(np.arange(big_n), k)
+    packed = _bulk.gather_packed(g.packed, idx, idx)
+    packed[k, big_n >> 6] |= np.uint64(1 << (big_n & 63))
+    packed[big_n, k >> 6] |= np.uint64(1 << (k & 63))
+    imgs = g.imgs[idx]
+    return gm.CommutingGraph(g.n, g.ids[idx], imgs, packed,
+                             orbit_forest(imgs)[:2])
+
+
+def test_class_counts_match_row_oracles():
+    # degrees and the k-core peel read one row per class; the row-level
+    # oracles read every row, on each closed family, the family without
+    # row 0, and the family with one row twinned (every row its own class)
+    for n in range(7):
+        for filt in FILTERS:
+            for max_rank in (None, *range(1, n)):
+                ids, mat = elements_matrix(n, filt, max_rank)
+                g = gm.graph_from_matrix(n, ids, mat)
+                graphs = [g, gm.induced_subgraph(g, np.arange(1, len(ids)))]
+                if len(ids):
+                    graphs.append(with_twin(g, len(ids) // 2))
+                for h in graphs:
+                    degs = oracle_degrees(h)
+                    assert h.degrees().tolist() == degs.tolist()
+                    omega, _ = gm.clique_number(h)
+                    top = int(degs.max(initial=0))
+                    for min_deg in {0, 1, 5, omega - 1, top, top + 1}:
+                        assert gm._core_mask(h, min_deg).tolist() == \
+                            oracle_core_mask(h.packed, min_deg).tolist()
+
+
 def test_adjacency_kernel_full_n6(full_graphs, monkeypatch):
     g = full_graphs(6)
     packed = check_kernel(6, g.imgs, True, monkeypatch)
@@ -278,7 +325,7 @@ def test_adjacency_kernel_full_n6(full_graphs, monkeypatch):
 def test_adjacency_kernel_nilpotent_n7(monkeypatch):
     ids, mat = elements_matrix(7, "nilpotent")
     mat = mat[ids != 0]
-    reps, _ = conjugacy_classes(mat)
+    reps = orbit_forest(mat)[0]
     rng = np.random.default_rng(7)
     sample = np.union1d(reps, rng.choice(len(mat), 512, replace=False))
     # besides its 169 MB output the kernel holds a block of rows at a time
@@ -430,9 +477,8 @@ def check_against_all_source(g, closed):
     want_ecc, want_reached, far = all_source_bfs(g)
     ecc, reached = gm.eccentricities(g)
     assert (ecc == want_ecc).all() and (reached == want_reached).all()
-    sources, _ = conjugacy_classes(g.imgs)
-    assert len(sources) == (row_types(g.n, g.imgs) if closed
-                            else g.num_vertices)
+    assert len(g.reps) == (row_types(g.n, g.imgs) if closed
+                           else g.num_vertices)
     if not g.num_vertices:
         return
     res = gm.diameter(g)
@@ -502,7 +548,7 @@ def test_diameter_reads_connectivity_from_eccentricities(ideal_graphs,
                                                          monkeypatch):
     # one BFS per conjugacy class, then one for the geodesic
     g = ideal_graphs(6, 3)
-    classes = len(conjugacy_classes(g.imgs)[0])
+    classes = len(g.reps)
     assert classes == 17
     calls = []
     bfs = gm._bfs
@@ -514,6 +560,35 @@ def test_diameter_reads_connectivity_from_eccentricities(ideal_graphs,
     monkeypatch.setattr(gm, "_bfs", counted)
     assert gm.diameter(g).value == 3
     assert len(calls) == classes + 1
+
+
+def test_one_orbit_pass_per_graph(monkeypatch):
+    # the build finds the classes once, and the diameter's BFS reads them
+    calls = []
+    maps = _bulk._conjugation_maps
+
+    def counted(m):
+        calls.append(len(m))
+        return maps(m)
+
+    monkeypatch.setattr(_bulk, "_conjugation_maps", counted)
+    g = gm.build_graph(6, max_rank=3, center="ideal")
+    assert gm.diameter(g).value == 3
+    assert calls == [2886]
+
+
+def test_loaded_and_induced_graphs_keep_the_build_classes(ideal_graphs,
+                                                          tmp_path):
+    # the rank <= 3 ideal of I(6) without zero is a union of classes of
+    # the full graph
+    fresh = gm.build_graph(6, max_rank=3, center="ideal")
+    path = tmp_path / "ideal.bin"
+    gm.save_packed(fresh, path)
+    assert len(fresh.reps) == 17
+    for h in (ideal_graphs(6, 3), gm.load_packed(path)):
+        assert h.ids.tolist() == fresh.ids.tolist()
+        assert h.reps.tolist() == fresh.reps.tolist()
+        assert h.inverse.tolist() == fresh.inverse.tolist()
 
 
 def test_diameter_path_attains_value(full_graphs):
@@ -714,7 +789,8 @@ def test_load_detects_corruption(full_graphs, tmp_path):
         ids = g.ids.copy()
         ids[-1] = top
         far = tmp_path / "far.bin"
-        gm.save_packed(gm.CommutingGraph(3, ids, g.imgs, g.packed), far)
+        gm.save_packed(gm.CommutingGraph(3, ids, g.imgs, g.packed,
+                                           (g.reps, g.inverse)), far)
         with pytest.raises(ValueError, match="out of range"):
             gm.load_packed(far)
 
