@@ -9,7 +9,7 @@ Usage:
     python3 scripts/extremal_census.py [--min 3] [--max 6] [--list]
                                        [--budget-seconds S]
 
-The search is exact; n=7 takes about 15 seconds on one core.
+The search is exact; n=7 takes about 10 seconds on one core.
 """
 
 import argparse

@@ -3,11 +3,13 @@
 Vertices are elements (stable element IDs, ascending), edges join distinct
 commuting elements, and declared central elements are excluded up front.
 Adjacency lives in a bit-packed uint64 matrix; breadth-first searches run
-over Python-int rows (word-parallel OR), and the clique solver is a
-branch-and-bound with greedy coloring bounds over the same bitsets, with
-a k-core peel in numpy to shrink hard instances first.  A graph keeps the
-conjugacy classes its build found (conjugation is a graph automorphism):
-degrees, the peel and the BFS sources read one row per class.
+over Python-int rows (word-parallel OR).  The clique solver seeds with one
+greedy clique per class representative, peels once in numpy to the k-core
+of the seed's size, and proves optimality by branch-and-bound with greedy
+coloring bounds over the same bitsets.  A graph keeps the conjugacy
+classes its build found (conjugation is a graph automorphism): degrees,
+the peel, the relabel order, the greedy starts and the BFS sources read
+one row per class.
 
 Everything here is deterministic: vertex order is ID order, path
 reconstruction always picks the lowest-index predecessor, and clique
@@ -59,6 +61,9 @@ INFINITY = math.inf
 # Hard ceiling on materialized vertex sets; big enough for every supported
 # family (full monoid through n = 6, nilpotents through n = 7).
 VERTEX_CAP = 50_000
+
+# Greedy seeds of the clique search: one per class, highest degree first.
+_GREEDY_STARTS = 48
 
 _FORMAT_MAGIC = b"ICGR"
 _FORMAT_VERSION = 2
@@ -173,8 +178,8 @@ class CommutingGraph:
 
     def degrees(self) -> np.ndarray:
         """Per-vertex degree, counted on the representative rows."""
-        counts = np.bitwise_count(self.packed[self.reps])
-        return counts.sum(axis=1, dtype=np.int64)[self.inverse]
+        every = np.ones(len(self.reps), dtype=bool)
+        return _class_degrees(self, every)[self.inverse]
 
     def num_edges(self) -> int:
         return int(self.degrees().sum()) // 2
@@ -393,28 +398,27 @@ def diameter(g: CommutingGraph) -> DistanceResult:
 # -- exact maximum clique -------------------------------------------------------
 
 
-def _alive_words(alive: np.ndarray) -> np.ndarray:
-    return pack_bool_rows(alive[None, :], len(alive))[0]
+def _class_degrees(g: CommutingGraph, keep: np.ndarray) -> np.ndarray:
+    """Degree of each class in the subgraph of the classes ``keep`` (a
+    bool mask over ``g.reps``; 0 for the others), counted on the
+    representative's row.  Exact for every member: the kept vertices are a
+    union of classes, which conjugation maps onto itself."""
+    alive = pack_bool_rows(keep[g.inverse][None, :], g.num_vertices)[0]
+    degs = np.zeros(len(keep), dtype=np.int64)
+    degs[keep] = np.bitwise_count(g.packed[g.reps[keep]] & alive).sum(axis=1)
+    return degs
 
 
 def _core_mask(g: CommutingGraph, min_deg: int) -> np.ndarray:
     """Iterated peel: keep vertices with at least ``min_deg`` surviving
     neighbors.  Contains every clique on more than ``min_deg`` vertices.
-    Peels whole classes: the alive set stays a union of classes, which
-    conjugation maps onto itself, so each vertex counts as its class's
-    representative does."""
+    Peels whole classes, so the alive set stays a union of classes."""
     keep = np.ones(len(g.reps), dtype=bool)
     while True:
-        alive = keep[g.inverse]
-        live = np.flatnonzero(keep)
-        if not len(live):
-            return alive
-        degs = np.bitwise_count(g.packed[g.reps[live]]
-                                & _alive_words(alive)).sum(axis=1)
-        drop = degs < min_deg
+        drop = keep & (_class_degrees(g, keep) < min_deg)
         if not drop.any():
-            return alive
-        keep[live[drop]] = False
+            return keep[g.inverse]
+        keep &= ~drop
 
 
 def _greedy_from(rows, start, by_degree):
@@ -427,16 +431,16 @@ def _greedy_from(rows, start, by_degree):
     return clique
 
 
-def _greedy_best(rows, degs, starts=48, within=None):
+def _greedy_best(g: CommutingGraph):
+    """Largest greedy clique from the ``_GREEDY_STARTS`` class
+    representatives of highest degree.  Conjugation is an automorphism, so
+    a clique through any vertex has a conjugate through its class's
+    representative."""
+    rows, degs = g.rows(), g.degrees()
     by_degree = np.argsort(-degs, kind="stable")
-    if within is not None:
-        by_degree = by_degree[within[by_degree]]
-    best = []
-    for s in by_degree[:starts]:
-        c = _greedy_from(rows, int(s), by_degree)
-        if len(c) > len(best):
-            best = c
-    return best
+    starts = g.reps[np.argsort(-degs[g.reps], kind="stable")]
+    return max((_greedy_from(rows, int(s), by_degree)
+                for s in starts[:_GREEDY_STARTS]), key=len)
 
 
 def _color_sort(p_mask: int, rows):
@@ -511,13 +515,14 @@ class _OutOfTime(Exception):
 
 
 def _relabeled_rows(g, alive: np.ndarray):
-    """Alive vertices as rows reordered by descending degree, and that
-    order as a tuple of original indices."""
-    idx = np.flatnonzero(alive)
+    """The classes meeting ``alive`` as rows reordered by descending
+    degree within them, and that order as a tuple of original indices."""
+    keep = np.zeros(len(g.reps), dtype=bool)
+    keep[g.inverse[alive]] = True
+    idx = np.flatnonzero(keep[g.inverse])
     if not len(idx):
         return [], ()
-    aw = _alive_words(alive)
-    sub_degs = np.bitwise_count(g.packed[idx] & aw[None, :]).sum(axis=1)
+    sub_degs = _class_degrees(g, keep)[g.inverse[idx]]
     order = idx[np.lexsort((idx, -sub_degs))]
     rows = [int.from_bytes(r.tobytes(), "little")
             for r in gather_packed(g.packed, order, order)]
@@ -563,11 +568,13 @@ def clique_number(g: CommutingGraph, budget_seconds=None,
                   resume: CliqueCheckpoint | None = None):
     """Exact clique number and one maximum clique (vertex indices).
 
-    Runs greedy seeding, peels to the seed-size core, then proves
-    optimality by branch and bound.  A budget overrun raises
-    BudgetExceeded carrying a checkpoint; pass it back as ``resume``.
-    Each call finishes at least one root branch, so it can overrun its
-    budget by at most one branch and a resumed run always completes.
+    Seeds with one greedy clique per class representative (the
+    ``_GREEDY_STARTS`` of highest degree), peels once to the seed-size
+    core, then proves optimality by branch and bound.  A budget overrun
+    raises BudgetExceeded carrying a checkpoint; pass it back as
+    ``resume``.  Each call finishes at least one root branch, so it can
+    overrun its budget by at most one branch and a resumed run always
+    completes.
     """
     if not g.num_vertices:
         return 0, ()
@@ -580,20 +587,9 @@ def clique_number(g: CommutingGraph, budget_seconds=None,
         best = sorted(resume.best)
         roots = resume.roots_remaining
     else:
-        full_rows = g.rows()
-        degs = g.degrees()
-        seed = _greedy_best(full_rows, degs)
-        while True:
-            alive = _core_mask(g, min_deg=len(seed))
-            if not alive.any():
-                break
-            improved = _greedy_best(full_rows, degs, starts=16, within=alive)
-            if len(improved) > len(seed):
-                seed = improved
-            else:
-                break
-        rows, order = _relabeled_rows(g, alive)
-        best = sorted(int(v) for v in seed)
+        seed = _greedy_best(g)
+        rows, order = _relabeled_rows(g, _core_mask(g, min_deg=len(seed)))
+        best = sorted(seed)
         roots = range(len(rows))
     run, unfinished = _run_roots(rows, roots, len(best), None, deadline)
     if run.best:

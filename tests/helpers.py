@@ -134,6 +134,74 @@ def oracle_core_mask(packed, min_deg):
         alive[idx[drop]] = False
 
 
+def oracle_relabel_order(packed, alive):
+    """The alive vertices by descending degree within the alive set, ties
+    by index, with each row's alive neighbours counted one row at a time:
+    the reference for ``graph._relabeled_rows``, which counts on the
+    representatives of the alive classes.  The counts are signed, so an
+    isolated vertex sorts last."""
+    words = pack_bool_rows(alive[None, :], len(alive))[0]
+    idx = np.flatnonzero(alive)
+    degs = np.bitwise_count(packed[idx] & words).sum(axis=1, dtype=np.int64)
+    return idx[np.lexsort((idx, -degs))]
+
+
+def multi_source_bfs(g, block=1024):
+    """``int64[3, V]``: each vertex's eccentricity over its reached set,
+    reached count and lowest-index vertex of its last level, by a BFS from
+    every vertex.  Sources go 64 to a uint64 word (bit k of a vertex's word
+    says whether source k has reached it); each level ORs the frontier
+    words of every vertex's neighbours with one ``np.bitwise_or.reduceat``
+    over a CSR gather (Then et al., "The More the Merrier", PVLDB 2014).
+    The neighbour lists come from unpacking ``g.packed``, not from the
+    package's BFS."""
+    nverts = g.num_vertices
+    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for s in range(0, nverts, block):
+        bits = np.unpackbits(g.packed[s:s + block].view(np.uint8), axis=1,
+                             bitorder="little")[:, :nverts]
+        r, c = np.nonzero(bits)
+        rows.append(r + s)
+        cols.append(c)
+    indices = np.concatenate(cols)
+    indptr = np.cumsum(np.bincount(np.concatenate(rows), minlength=nverts))
+    indptr = np.concatenate([[0], indptr])
+    # reduceat would return a lone element for an empty neighbour list
+    has = indptr[1:] > indptr[:-1]
+    starts = indptr[:-1][has]
+    out = np.zeros((3, nverts), dtype=np.int64)
+
+    def source_bits(words, width):
+        # bool[V, width]: bit k of each vertex's word is column k
+        return np.unpackbits(words.view(np.uint8).reshape(nverts, 8), axis=1,
+                             bitorder="little")[:, :width]
+
+    for lo in range(0, nverts, 64):
+        srcs = np.arange(lo, min(lo + 64, nverts))
+        bit = np.uint64(1) << np.arange(len(srcs), dtype=np.uint64)
+        frontier = np.zeros(nverts, dtype=np.uint64)
+        frontier[srcs] = bit
+        seen = frontier.copy()
+        far, level = srcs.copy(), 0
+        ecc = np.zeros(len(srcs), dtype=np.int64)
+        while True:
+            nxt = np.zeros(nverts, dtype=np.uint64)
+            if len(starts):
+                nxt[has] = np.bitwise_or.reduceat(frontier[indices], starts)
+            nxt &= ~seen
+            if not nxt.any():
+                break
+            level += 1
+            seen |= nxt
+            hits = source_bits(nxt, len(srcs))
+            live = hits.any(axis=0)
+            ecc[live] = level
+            far[live] = hits.argmax(axis=0)[live]
+            frontier = nxt
+        out[:, srcs] = ecc, source_bits(seen, len(srcs)).sum(axis=0), far
+    return out
+
+
 def dense_adjacency_packed(mat, rows=None, block=256):
     """Packed commutation adjacency of ``rows`` (default: all rows) of a
     sentinel-n image matrix against every row, diagonal clear, by comparing

@@ -11,14 +11,15 @@ from invsemi._bulk import (adjacency_packed, decode, decode_chunks,
                            elements_matrix, iter_matrix_chunks, monoid_decoder,
                            orbit_forest, pack_bool_rows, row_element)
 from invsemi.commute import iter_permutation_centralizer_chunks
-from invsemi.construct import max_commutative_nilpotent
+from invsemi.construct import balanced_null_order, max_commutative_nilpotent
 from invsemi.pinj import (PInj, UNDEF, classify, decompose, element_from_id,
                           element_id, monoid_order, stratum_sizes)
 
 from helpers import (brute_adjacency, brute_components, brute_distance,
                      brute_eccentricity, brute_max_cliques,
-                     dense_adjacency_packed, oracle_core_mask, oracle_decode,
-                     oracle_degrees)
+                     dense_adjacency_packed, multi_source_bfs,
+                     oracle_core_mask, oracle_decode, oracle_degrees,
+                     oracle_relabel_order)
 
 
 def graph_elements(g):
@@ -295,9 +296,10 @@ def with_twin(g, k):
 
 
 def test_class_counts_match_row_oracles():
-    # degrees and the k-core peel read one row per class; the row-level
-    # oracles read every row, on each closed family, the family without
-    # row 0, and the family with one row twinned (every row its own class)
+    # degrees, the k-core peel and the relabel order read one row per
+    # class; the row-level oracles read every row, on each closed family,
+    # the family without row 0, and the family with one row twinned (every
+    # row its own class)
     for n in range(7):
         for filt in FILTERS:
             for max_rank in (None, *range(1, n)):
@@ -311,9 +313,17 @@ def test_class_counts_match_row_oracles():
                     assert h.degrees().tolist() == degs.tolist()
                     omega, _ = gm.clique_number(h)
                     top = int(degs.max(initial=0))
+                    cores = {}
                     for min_deg in {0, 1, 5, omega - 1, top, top + 1}:
-                        assert gm._core_mask(h, min_deg).tolist() == \
+                        core = gm._core_mask(h, min_deg)
+                        assert core.tolist() == \
                             oracle_core_mask(h.packed, min_deg).tolist()
+                        cores[core.tobytes()] = core
+                    # equal cores have equal orders; relabel each core once
+                    for core in cores.values():
+                        _, order = gm._relabeled_rows(h, core)
+                        assert order == tuple(
+                            oracle_relabel_order(h.packed, core).tolist())
 
 
 def test_adjacency_kernel_full_n6(full_graphs, monkeypatch):
@@ -470,11 +480,14 @@ def all_source_bfs(g):
     return out
 
 
-def check_against_all_source(g, closed):
+def check_against_all_source(g, closed, cross_check=True):
     """Eccentricities and the diameter's value, pair and geodesic equal the
-    all-source route; conjugation-closed graphs use one BFS source per
-    type, the others one per vertex."""
-    want_ecc, want_reached, far = all_source_bfs(g)
+    multi-source BFS from every vertex; conjugation-closed graphs use one
+    BFS source per type, the others one per vertex.  With ``cross_check``,
+    the multi-source BFS also equals one Python-int BFS per vertex."""
+    want_ecc, want_reached, far = want = multi_source_bfs(g)
+    if cross_check:
+        assert (all_source_bfs(g) == want).all()
     ecc, reached = gm.eccentricities(g)
     assert (ecc == want_ecc).all() and (reached == want_reached).all()
     assert len(g.reps) == (row_types(g.n, g.imgs) if closed
@@ -509,7 +522,8 @@ def test_eccentricity_reduction_on_families():
 @pytest.mark.parametrize("n", [5, 6])
 def test_eccentricity_reduction_on_ideals(n, ideal_graphs):
     for r in range(1, n):
-        check_against_all_source(ideal_graphs(n, r), closed=True)
+        check_against_all_source(ideal_graphs(n, r), closed=True,
+                                 cross_check=n < 6)
 
 
 def test_eccentricity_reduction_off_when_not_closed(ideal_graphs):
@@ -642,6 +656,31 @@ def test_maximum_cliques_of_empty_graph():
     assert g.num_vertices == 0
     assert gm.clique_number(g) == (0, ())
     assert gm.maximum_cliques(g) == [()]
+
+
+def test_greedy_seed_starts_at_class_representatives(full_graphs,
+                                                     monkeypatch):
+    # one greedy clique per class representative already reaches the clique
+    # number on the nilpotent graphs at n <= 6 and the full graphs at n <= 6
+    nilpotent = {n: gm.build_graph(n, "nilpotent", center="ideal")
+                 for n in range(3, 7)}
+    for n, g in nilpotent.items():
+        assert len(gm._greedy_best(g)) == balanced_null_order(n) - 1
+    for n in range(2, 7):
+        assert len(gm._greedy_best(full_graphs(n))) == 2 ** n - 2
+    starts = []
+    greedy_from = gm._greedy_from
+
+    def counted(rows, start, by_degree):
+        starts.append(start)
+        return greedy_from(rows, start, by_degree)
+
+    monkeypatch.setattr(gm, "_greedy_from", counted)
+    for g in (full_graphs(6), nilpotent[5]):
+        starts.clear()
+        gm.clique_number(g)
+        assert len(starts) == min(gm._GREEDY_STARTS, len(g.reps))
+        assert set(starts) <= set(g.reps.tolist())
 
 
 def test_clique_on_synthetic_graph():
