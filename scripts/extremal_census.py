@@ -9,7 +9,8 @@ Usage:
     python3 scripts/extremal_census.py [--min 3] [--max 6] [--list]
                                        [--budget-seconds S]
 
-The search is exact; n=7 takes about 10 seconds on one core.
+The search is exact; n=7 took 5.8 and 6.1 seconds on one core of a
+2-vCPU Xeon VM.
 """
 
 import argparse

@@ -4,9 +4,10 @@ Vertices are elements (stable element IDs, ascending), edges join distinct
 commuting elements, and declared central elements are excluded up front.
 Adjacency lives in a bit-packed uint64 matrix; breadth-first searches run
 over Python-int rows (word-parallel OR).  The clique solver seeds with one
-greedy clique per class representative, peels once in numpy to the k-core
-of the seed's size, and proves optimality by branch-and-bound with greedy
-coloring bounds over the same bitsets.  A graph keeps the conjugacy
+greedy clique per class representative, each a walk over its start's
+neighbours only, peels once in numpy to the k-core of the seed's size,
+and proves optimality by branch-and-bound with greedy coloring bounds
+(Tomita & Seki's MCQ) over the same bitsets.  A graph keeps the conjugacy
 classes its build found (conjugation is a graph automorphism): degrees,
 the peel, the relabel order, the greedy starts and the BFS sources read
 one row per class.
@@ -239,8 +240,8 @@ def build_graph(n: int, filt: str = "all", max_rank=None, center="monoid",
 
     ``center`` names what to exclude: "monoid" drops the zero map and the
     identity, "ideal" drops only zero (right for proper ideals, whose
-    center is trivial), "group" drops only the identity, "none" keeps
-    everything; or pass explicit element IDs / elements.  A family that
+    center is trivial), "group" drops only the identity; or pass explicit
+    element IDs / elements (``()`` keeps everything).  A family that
     exceeds ``vertex_cap`` even with every center dropped is rejected
     before any element is enumerated.
     """
@@ -251,8 +252,6 @@ def build_graph(n: int, filt: str = "all", max_rank=None, center="monoid",
         center_ids = (0,)
     elif center == "group":
         center_ids = (identity_id,)
-    elif center == "none":
-        center_ids = ()
     else:
         center_ids = tuple(element_id(c) if isinstance(c, PInj) else int(c)
                            for c in center)
@@ -412,22 +411,27 @@ def _class_degrees(g: CommutingGraph, keep: np.ndarray) -> np.ndarray:
 def _core_mask(g: CommutingGraph, min_deg: int) -> np.ndarray:
     """Iterated peel: keep vertices with at least ``min_deg`` surviving
     neighbors.  Contains every clique on more than ``min_deg`` vertices.
-    Peels whole classes, so the alive set stays a union of classes."""
+    Peels whole classes and returns the kept ones, a bool mask over
+    ``g.reps``."""
     keep = np.ones(len(g.reps), dtype=bool)
     while True:
         drop = keep & (_class_degrees(g, keep) < min_deg)
         if not drop.any():
-            return keep[g.inverse]
+            return keep
         keep &= ~drop
 
 
-def _greedy_from(rows, start, by_degree):
+def _greedy_from(rows, degs, start):
+    """Greedy clique through ``start``: each step adds the candidate of
+    highest degree, lowest index on ties.  Candidates are neighbours of
+    the start, so one pass over those, in that order, adds them in turn."""
     clique = [start]
     cand = rows[start]
-    for v in by_degree:
-        if (cand >> int(v)) & 1:
-            clique.append(int(v))
-            cand &= rows[int(v)]
+    nbrs = _bit_indices(cand, len(degs))
+    for v in nbrs[np.argsort(-degs[nbrs], kind="stable")].tolist():
+        if (cand >> v) & 1:
+            clique.append(v)
+            cand &= rows[v]
     return clique
 
 
@@ -437,9 +441,8 @@ def _greedy_best(g: CommutingGraph):
     a clique through any vertex has a conjugate through its class's
     representative."""
     rows, degs = g.rows(), g.degrees()
-    by_degree = np.argsort(-degs, kind="stable")
     starts = g.reps[np.argsort(-degs[g.reps], kind="stable")]
-    return max((_greedy_from(rows, int(s), by_degree)
+    return max((_greedy_from(rows, degs, int(s))
                 for s in starts[:_GREEDY_STARTS]), key=len)
 
 
@@ -514,11 +517,10 @@ class _OutOfTime(Exception):
     pass
 
 
-def _relabeled_rows(g, alive: np.ndarray):
-    """The classes meeting ``alive`` as rows reordered by descending
-    degree within them, and that order as a tuple of original indices."""
-    keep = np.zeros(len(g.reps), dtype=bool)
-    keep[g.inverse[alive]] = True
+def _relabeled_rows(g, keep: np.ndarray):
+    """The members of the classes ``keep`` (a bool mask over ``g.reps``)
+    as rows reordered by descending degree within them, and that order as
+    a tuple of original indices."""
     idx = np.flatnonzero(keep[g.inverse])
     if not len(idx):
         return [], ()
@@ -529,14 +531,20 @@ def _relabeled_rows(g, alive: np.ndarray):
     return rows, tuple(order.tolist())
 
 
-def _resumed_rows(g, resume: CliqueCheckpoint):
-    """Rebuild the relabeled rows a checkpoint was taken over."""
-    alive = np.zeros(g.num_vertices, dtype=bool)
-    alive[np.asarray(resume.order, dtype=np.int64)] = True
-    rows, order = _relabeled_rows(g, alive)
+def _phase_rows(g, resume, min_deg):
+    """The relabeled rows a clique phase searches, their order and the
+    root positions to expand: the whole ``min_deg`` core on a fresh run
+    (``resume`` None), else the classes of the checkpoint's order, which
+    must relabel to that order, and its remaining roots."""
+    if resume is None:
+        rows, order = _relabeled_rows(g, _core_mask(g, min_deg))
+        return rows, order, range(len(rows))
+    keep = np.zeros(len(g.reps), dtype=bool)
+    keep[g.inverse[np.asarray(resume.order, dtype=np.int64)]] = True
+    rows, order = _relabeled_rows(g, keep)
     if order != resume.order:
         raise ValueError("checkpoint does not match this graph")
-    return rows, order
+    return rows, order, resume.roots_remaining
 
 
 def _run_roots(rows, roots, floor, target, deadline):
@@ -569,28 +577,22 @@ def clique_number(g: CommutingGraph, budget_seconds=None,
     """Exact clique number and one maximum clique (vertex indices).
 
     Seeds with one greedy clique per class representative (the
-    ``_GREEDY_STARTS`` of highest degree), peels once to the seed-size
-    core, then proves optimality by branch and bound.  A budget overrun
-    raises BudgetExceeded carrying a checkpoint; pass it back as
-    ``resume``.  Each call finishes at least one root branch, so it can
-    overrun its budget by at most one branch and a resumed run always
-    completes.
+    ``_GREEDY_STARTS`` of highest degree), each a walk over its start's
+    neighbours that adds the candidate of highest degree, lowest index on
+    ties, until none is left; peels once to the seed-size core, then
+    proves optimality by branch and bound.  A budget overrun raises
+    BudgetExceeded carrying a checkpoint; pass it back as ``resume``.
+    Each call finishes at least one root branch, so it can overrun its
+    budget by at most one branch and a resumed run always completes.
     """
     if not g.num_vertices:
         return 0, ()
     deadline = (time.perf_counter() + budget_seconds
                 if budget_seconds is not None else None)
-    if resume is not None:
-        if resume.phase != "max":
-            raise ValueError("checkpoint is not from a clique_number run")
-        rows, order = _resumed_rows(g, resume)
-        best = sorted(resume.best)
-        roots = resume.roots_remaining
-    else:
-        seed = _greedy_best(g)
-        rows, order = _relabeled_rows(g, _core_mask(g, min_deg=len(seed)))
-        best = sorted(seed)
-        roots = range(len(rows))
+    if resume is not None and resume.phase != "max":
+        raise ValueError("checkpoint is not from a clique_number run")
+    best = sorted(_greedy_best(g) if resume is None else resume.best)
+    rows, order, roots = _phase_rows(g, resume, min_deg=len(best))
     run, unfinished = _run_roots(rows, roots, len(best), None, deadline)
     if run.best:
         best = sorted(order[i] for i in run.best)
@@ -619,30 +621,33 @@ def maximum_cliques(g: CommutingGraph, budget_seconds=None,
         size, _ = clique_number(g, budget_seconds=left, resume=resume)
         if not size:
             return [()]
-        alive = _core_mask(g, min_deg=size - 1)
-        rows, order = _relabeled_rows(g, alive)
-        roots = range(len(rows))
-        found = []
+        resume, found = None, []
     else:
-        size = resume.target
-        rows, order = _resumed_rows(g, resume)
-        roots = resume.roots_remaining
-        found = list(resume.found)
+        size, found = resume.target, list(resume.found)
+    rows, order, roots = _phase_rows(g, resume, min_deg=size - 1)
     run, unfinished = _run_roots(rows, roots, size - 1, size, deadline)
     found += [tuple(sorted(order[i] for i in clique)) for clique in run.found]
     found.sort()
     if unfinished:
         raise BudgetExceeded(CliqueCheckpoint(
             "enum", order, unfinished, (), size, tuple(found)))
+    adj = g.rows()
     for clique in found:
-        for x in range(len(clique)):
-            for y in range(x + 1, len(clique)):
-                if not g.adjacent(clique[x], clique[y]):
-                    raise AssertionError("enumerated set is not a clique")
+        mask = sum(1 << v for v in clique)
+        if any(adj[v] & mask != mask ^ (1 << v) for v in clique):
+            raise AssertionError("enumerated set is not a clique")
     return found
 
 
 # -- export and binary cache ----------------------------------------------------
+
+
+def _edge_ids(g: CommutingGraph):
+    """Element-ID pair (u, v) of each edge, u < v, ascending."""
+    ids = g.ids.tolist()
+    for i, row in enumerate(g.rows()):
+        for j in _bit_indices(row >> (i + 1) << (i + 1), len(ids)).tolist():
+            yield ids[i], ids[j]
 
 
 def export_dot(g: CommutingGraph, path) -> None:
@@ -651,11 +656,7 @@ def export_dot(g: CommutingGraph, path) -> None:
         for i in range(g.num_vertices):
             name = format_element(g.vertex_element(i))
             fh.write(f'  e{int(g.ids[i])} [label="{name}"];\n')
-        for i in range(g.num_vertices):
-            row = g.rows()[i]
-            for j in _bit_indices(row, g.num_vertices):
-                if j > i:
-                    fh.write(f"  e{int(g.ids[i])} -- e{int(g.ids[j])};\n")
+        fh.writelines(f"  e{u} -- e{v};\n" for u, v in _edge_ids(g))
         fh.write("}\n")
 
 
@@ -663,11 +664,7 @@ def export_edge_csv(g: CommutingGraph, path) -> None:
     """One ``u,v`` element-ID pair per line, u < v, ascending; no header,
     so the line count equals the edge count."""
     with open(path, "w") as fh:
-        for i in range(g.num_vertices):
-            row = g.rows()[i]
-            for j in _bit_indices(row, g.num_vertices):
-                if j > i:
-                    fh.write(f"{int(g.ids[i])},{int(g.ids[j])}\n")
+        fh.writelines(f"{u},{v}\n" for u, v in _edge_ids(g))
 
 
 def save_packed(g: CommutingGraph, path) -> None:

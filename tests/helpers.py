@@ -146,6 +146,20 @@ def oracle_relabel_order(packed, alive):
     return idx[np.lexsort((idx, -degs))]
 
 
+def oracle_greedy_from(rows, start, by_degree):
+    """Greedy clique through ``start`` by a scan of every vertex in
+    ``by_degree`` order, adding each one adjacent to all added so far: the
+    reference for ``graph._greedy_from``, which walks the start's
+    neighbours only."""
+    clique = [start]
+    cand = rows[start]
+    for v in by_degree:
+        if (cand >> int(v)) & 1:
+            clique.append(int(v))
+            cand &= rows[int(v)]
+    return clique
+
+
 def multi_source_bfs(g, block=1024):
     """``int64[3, V]``: each vertex's eccentricity over its reached set,
     reached count and lowest-index vertex of its last level, by a BFS from

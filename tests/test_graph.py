@@ -13,28 +13,35 @@ from invsemi._bulk import (adjacency_packed, decode, decode_chunks,
 from invsemi.commute import iter_permutation_centralizer_chunks
 from invsemi.construct import balanced_null_order, max_commutative_nilpotent
 from invsemi.pinj import (PInj, UNDEF, classify, decompose, element_from_id,
-                          element_id, monoid_order, stratum_sizes)
+                          element_id, format_element, monoid_order,
+                          stratum_sizes)
 
 from helpers import (brute_adjacency, brute_components, brute_distance,
                      brute_eccentricity, brute_max_cliques,
                      dense_adjacency_packed, multi_source_bfs,
                      oracle_core_mask, oracle_decode, oracle_degrees,
-                     oracle_relabel_order)
+                     oracle_greedy_from, oracle_relabel_order)
 
 
 def graph_elements(g):
     return [g.vertex_element(i) for i in range(g.num_vertices)]
 
 
-def synthetic_graph(nv, p, seed, n=6):
-    rng = np.random.default_rng(seed)
-    mat = np.triu(rng.random((nv, nv)) < p, 1)
-    mat = mat | mat.T
+def dense_graph(mat, label, n=6):
+    """Graph of a symmetric bool adjacency matrix; its rows are equal
+    elements, so every vertex is its own class."""
+    nv = len(mat)
     packed = pack_bool_rows(mat, nv)
     ids = np.arange(nv, dtype=np.int64)
     imgs = np.full((nv, n), n, dtype=np.int8)
     return gm.CommutingGraph(n, ids, imgs, packed, orbit_forest(imgs)[:2],
-                             (), f"rand{nv}")
+                             (), label)
+
+
+def synthetic_graph(nv, p, seed, n=6):
+    rng = np.random.default_rng(seed)
+    mat = np.triu(rng.random((nv, nv)) < p, 1)
+    return dense_graph(mat | mat.T, f"rand{nv}", n)
 
 
 # -- bulk element matrices ---------------------------------------------------------
@@ -214,7 +221,7 @@ def check_kernel(n, mat, closed, monkeypatch, sample=None, over_mb=None):
 
 
 FILTERS = ("all", "nilpotent", "idempotent", "permutation")
-CENTERS = ("monoid", "ideal", "group", "none")
+CENTERS = ("monoid", "ideal", "group", ())
 
 
 def test_adjacency_kernel_on_families(monkeypatch):
@@ -295,35 +302,40 @@ def with_twin(g, k):
                              orbit_forest(imgs)[:2])
 
 
-def test_class_counts_match_row_oracles():
-    # degrees, the k-core peel and the relabel order read one row per
-    # class; the row-level oracles read every row, on each closed family,
-    # the family without row 0, and the family with one row twinned (every
-    # row its own class)
+def family_sweep():
+    """Each family and rank ideal at n <= 6 as is, without row 0, and with
+    one row twinned (every row its own class)."""
     for n in range(7):
         for filt in FILTERS:
             for max_rank in (None, *range(1, n)):
                 ids, mat = elements_matrix(n, filt, max_rank)
                 g = gm.graph_from_matrix(n, ids, mat)
-                graphs = [g, gm.induced_subgraph(g, np.arange(1, len(ids)))]
+                yield g
+                yield gm.induced_subgraph(g, np.arange(1, len(ids)))
                 if len(ids):
-                    graphs.append(with_twin(g, len(ids) // 2))
-                for h in graphs:
-                    degs = oracle_degrees(h)
-                    assert h.degrees().tolist() == degs.tolist()
-                    omega, _ = gm.clique_number(h)
-                    top = int(degs.max(initial=0))
-                    cores = {}
-                    for min_deg in {0, 1, 5, omega - 1, top, top + 1}:
-                        core = gm._core_mask(h, min_deg)
-                        assert core.tolist() == \
-                            oracle_core_mask(h.packed, min_deg).tolist()
-                        cores[core.tobytes()] = core
-                    # equal cores have equal orders; relabel each core once
-                    for core in cores.values():
-                        _, order = gm._relabeled_rows(h, core)
-                        assert order == tuple(
-                            oracle_relabel_order(h.packed, core).tolist())
+                    yield with_twin(g, len(ids) // 2)
+
+
+def test_class_counts_match_row_oracles():
+    # degrees, the k-core peel and the relabel order read one row per
+    # class; the row-level oracles read every row
+    for h in family_sweep():
+        degs = oracle_degrees(h)
+        assert h.degrees().tolist() == degs.tolist()
+        omega, _ = gm.clique_number(h)
+        top = int(degs.max(initial=0))
+        cores = {}
+        for min_deg in {0, 1, 5, omega - 1, top, top + 1}:
+            keep = gm._core_mask(h, min_deg)
+            core = keep[h.inverse]
+            assert core.tolist() == \
+                oracle_core_mask(h.packed, min_deg).tolist()
+            cores[keep.tobytes()] = keep, core
+        # equal cores have equal orders; relabel each core once
+        for keep, core in cores.values():
+            _, order = gm._relabeled_rows(h, keep)
+            assert order == tuple(
+                oracle_relabel_order(h.packed, core).tolist())
 
 
 def test_adjacency_kernel_full_n6(full_graphs, monkeypatch):
@@ -651,6 +663,25 @@ def test_maximum_cliques_match_brute(full_graphs):
     assert {frozenset(c) for c in got} == want_cliques
 
 
+def test_maximum_cliques_rejects_a_non_clique():
+    # on K5 minus the edge 0-1, an enumeration result of the right size
+    # with that one edge missing, handed over as an enum checkpoint with no
+    # roots left, fails the final check; a true maximum clique passes it
+    mat = ~np.eye(5, dtype=bool)
+    mat[0, 1] = mat[1, 0] = False
+    g = dense_graph(mat, "k5-minus-edge")
+    assert gm.maximum_cliques(g) == [(0, 2, 3, 4), (1, 2, 3, 4)]
+    order = gm._phase_rows(g, None, 3)[1]
+
+    def enum_checkpoint(clique):
+        return gm.CliqueCheckpoint("enum", order, (), (), 4, (clique,))
+
+    good = (0, 2, 3, 4)
+    assert gm.maximum_cliques(g, resume=enum_checkpoint(good)) == [good]
+    with pytest.raises(AssertionError, match="enumerated set is not a clique"):
+        gm.maximum_cliques(g, resume=enum_checkpoint((0, 1, 2, 3)))
+
+
 def test_maximum_cliques_of_empty_graph():
     g = gm.build_graph(1, "nilpotent", center="ideal")
     assert g.num_vertices == 0
@@ -671,9 +702,9 @@ def test_greedy_seed_starts_at_class_representatives(full_graphs,
     starts = []
     greedy_from = gm._greedy_from
 
-    def counted(rows, start, by_degree):
+    def counted(rows, degs, start):
         starts.append(start)
-        return greedy_from(rows, start, by_degree)
+        return greedy_from(rows, degs, start)
 
     monkeypatch.setattr(gm, "_greedy_from", counted)
     for g in (full_graphs(6), nilpotent[5]):
@@ -681,6 +712,35 @@ def test_greedy_seed_starts_at_class_representatives(full_graphs,
         gm.clique_number(g)
         assert len(starts) == min(gm._GREEDY_STARTS, len(g.reps))
         assert set(starts) <= set(g.reps.tolist())
+
+
+def check_greedy_seed(g):
+    """Each greedy start, and on small graphs every vertex, walks to the
+    clique of the oracle's scan over all vertices, and the seed is the
+    largest oracle clique over the seed's starts."""
+    if not g.num_vertices:
+        return
+    rows, degs = g.rows(), g.degrees()
+    by_degree = np.argsort(-degs, kind="stable")
+    seed_starts = g.reps[np.argsort(-degs[g.reps], kind="stable")]
+    seed_starts = seed_starts[:gm._GREEDY_STARTS].tolist()
+    starts = set(seed_starts)
+    if g.num_vertices <= 250:
+        starts.update(range(g.num_vertices))
+    want = {s: oracle_greedy_from(rows, s, by_degree) for s in starts}
+    assert {s: gm._greedy_from(rows, degs, s) for s in starts} == want
+    assert gm._greedy_best(g) == max((want[s] for s in seed_starts), key=len)
+
+
+def test_greedy_seed_matches_vertex_scan_oracle():
+    # the candidate walk adds the vertices a scan of the global degree
+    # order adds, on every family sweep graph, the nilpotents of I(7) and
+    # random graphs (every vertex its own class)
+    for g in family_sweep():
+        check_greedy_seed(g)
+    check_greedy_seed(gm.build_graph(7, "nilpotent", center="ideal"))
+    for nv, p, seed in ((120, 0.4, 3), (300, 0.6, 42), (400, 0.05, 5)):
+        check_greedy_seed(synthetic_graph(nv, p, seed))
 
 
 def test_clique_on_synthetic_graph():
@@ -835,15 +895,21 @@ def test_load_detects_corruption(full_graphs, tmp_path):
 
 
 def test_exports(full_graphs, tmp_path):
-    g = full_graphs(3)
+    # byte for byte: one node line per vertex, then each edge once as the
+    # element IDs u < v, ascending, read from the unpacked adjacency
+    g = full_graphs(4)
     dot = tmp_path / "g.dot"
     csv = tmp_path / "g.csv"
     gm.export_dot(g, dot)
     gm.export_edge_csv(g, csv)
-    text = dot.read_text()
-    assert text.startswith("graph") and text.rstrip().endswith("}")
-    assert text.count(" -- ") == g.num_edges()
-    lines = [ln for ln in csv.read_text().splitlines() if ln]
-    assert len(lines) == g.num_edges()
-    a, b = lines[0].split(",")
-    assert int(a) >= 0 and int(b) >= 0
+    dense = np.unpackbits(g.packed.view(np.uint8), axis=1,
+                          bitorder="little")[:, :g.num_vertices]
+    i, j = np.nonzero(np.triu(dense, 1))
+    pairs = list(zip(g.ids[i].tolist(), g.ids[j].tolist()))
+    assert len(pairs) == g.num_edges()
+    nodes = "".join(
+        f'  e{e} [label="{format_element(g.vertex_element(k))}"];\n'
+        for k, e in enumerate(g.ids.tolist()))
+    edges = "".join(f"  e{u} -- e{v};\n" for u, v in pairs)
+    assert dot.read_text() == f'graph "{g.label}" {{\n{nodes}{edges}}}\n'
+    assert csv.read_text() == "".join(f"{u},{v}\n" for u, v in pairs)
