@@ -25,11 +25,12 @@ and by the n-cycle, which generate S_n, map the rows to row indices; the
 conjugacy classes of a row set closed under both are the orbits of the two
 maps.  ``orbit_forest`` finds them in one pass, pulling each row's lowest
 index along one map at a time, and the pulls form a Schreier forest rooted
-at the representatives.  A graph keeps the classes its build found, and
-``adjacency_packed`` takes the forest: it compares one representative row
-per class against all rows with dense gathers, and builds every other row
-from the row it pulled from with ``gather_packed``, gathering the columns
-through that pull's map; other row sets compare every row densely.
+at the representatives.  A graph keeps the classes and maps its build
+found, and ``adjacency_packed`` takes the forest: it compares one
+representative row per class against all rows with dense gathers, and
+builds every other row from the row it pulled from with ``gather_packed``,
+gathering the columns through that pull's map; other row sets compare
+every row densely.
 """
 
 from __future__ import annotations
@@ -286,17 +287,19 @@ def _conjugation_maps(m: np.ndarray) -> list:
 
 
 def orbit_forest(m: np.ndarray):
-    """(representatives, inverse, pulls): the conjugacy classes of the rows
-    and the Schreier forest that finds them, in one pass.
+    """(representatives, inverse, maps, pulls): the conjugacy classes of
+    the rows, the conjugation maps and the Schreier forest that finds them,
+    in one pass.
 
     Step t pulls each row's lowest index along map t mod 2 of
     ``_conjugation_maps``, until a round of both moves nothing.  A row u's
     last pull, by g, read row g[u] when that row already held the final
     index, so g[u] is in u's class and was last pulled earlier or is a
     representative (the lowest index of a class; they ascend).
-    ``inverse`` is each row's class position, and ``pulls`` lists (g, rows
-    last pulled by g) in step order, from the roots out.  Rows that repeat
-    or have a conjugate outside the set are each their own class.
+    ``inverse`` is each row's class position, ``maps`` is
+    ``_conjugation_maps(m)``, and ``pulls`` lists (g, rows last pulled by
+    g) in step order, from the roots out.  Rows that repeat or have a
+    conjugate outside the set are each their own class, and have no maps.
     """
     maps = _conjugation_maps(m)
     low = np.arange(len(m))
@@ -313,7 +316,7 @@ def orbit_forest(m: np.ndarray):
     reps = np.flatnonzero(step < 0)
     pulls = [(maps[k % len(maps)], np.flatnonzero(step == k))
              for k in range(t - idle)]
-    return reps, np.searchsorted(reps, low), pulls
+    return reps, np.searchsorted(reps, low), maps, pulls
 
 
 def gather_packed(packed: np.ndarray, rows: np.ndarray,
@@ -344,7 +347,7 @@ def adjacency_packed(m: np.ndarray, forest) -> np.ndarray:
     """
     big_n = len(m)
     out = np.empty((big_n, (big_n + 63) // 64), dtype=np.uint64)
-    reps, _, pulls = forest
+    reps, _, _, pulls = forest
     for s in range(0, len(reps), _ADJACENCY_BLOCK):
         rows = reps[s:s + _ADJACENCY_BLOCK]
         eq = commuting(m[rows], m)

@@ -754,8 +754,9 @@ def cmd_graph(args, ctx) -> int:
         if res.components is not None:
             info["components"] = len(res.components)
     if args.clique:
-        size, wit = graphmod.clique_number(g, budget_seconds=ctx.budget_seconds)
-        info["clique_number"] = size
+        # the lexicographically least maximum clique, which no seed moves
+        wit = graphmod.maximum_cliques(g, budget_seconds=ctx.budget_seconds)[0]
+        info["clique_number"] = len(wit)
         info["clique"] = [pinj.format_element(g.vertex_element(i))
                           for i in wit]
     if args.dot:

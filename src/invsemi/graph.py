@@ -8,9 +8,11 @@ greedy clique per class representative, each a walk over its start's
 neighbours only, peels once in numpy to the k-core of the seed's size,
 and proves optimality by branch-and-bound with greedy coloring bounds
 (Tomita & Seki's MCQ) over the same bitsets.  A graph keeps the conjugacy
-classes its build found (conjugation is a graph automorphism): degrees,
-the peel, the relabel order, the greedy starts and the BFS sources read
-one row per class.
+classes and the two conjugation maps its build found (conjugation is a
+graph automorphism): degrees, the peel, the relabel order, the greedy
+starts and the BFS sources read one row per class, the branch-and-bound
+expands one root branch per class, and the enumerated maximum cliques are
+closed under the maps.
 
 Everything here is deterministic: vertex order is ID order, path
 reconstruction always picks the lowest-index predecessor, and clique
@@ -72,14 +74,14 @@ _FORMAT_HEAD = "<BHQHH"  # version, n, vertex count, center count, label length
 
 
 class BudgetExceeded(RuntimeError):
-    """A time budget ran out; ``checkpoint`` resumes where work stopped."""
+    """A time budget ran out; ``checkpoint`` resumes where work stopped.
+    ``roots`` is the number of root branches of the checkpoint's phase."""
 
-    def __init__(self, checkpoint):
+    def __init__(self, checkpoint, roots=None):
         msg = "time budget exceeded"
         if checkpoint is not None:
-            total = len(checkpoint.order)
-            done = total - len(checkpoint.roots_remaining)
-            msg += f" after {done}/{total} root branches; "
+            done = roots - len(checkpoint.roots_remaining)
+            msg += f" after {done}/{roots} root branches; "
             if checkpoint.phase == "max":
                 msg += f"best clique so far has {len(checkpoint.best)} vertices"
             else:
@@ -95,7 +97,9 @@ class CliqueCheckpoint:
 
     ``order`` is the vertex relabeling in effect (original indices in
     search order); ``roots_remaining`` are positions in that order whose
-    branches still need work.  ``best``/``found`` hold original indices.
+    branches still need work.  ``best``/``found`` hold original indices;
+    ``found`` holds the cliques the root branches found, before
+    ``maximum_cliques`` closes them under conjugation.
     """
 
     phase: str
@@ -156,9 +160,9 @@ class DistanceResult:
 
 class CommutingGraph:
     """Bit-packed commuting graph over a fixed element family; ``classes``
-    is (reps, inverse) of its rows' ``_bulk.orbit_forest``."""
+    is (reps, inverse, maps) of its rows' ``_bulk.orbit_forest``."""
 
-    __slots__ = ("n", "ids", "imgs", "packed", "reps", "inverse",
+    __slots__ = ("n", "ids", "imgs", "packed", "reps", "inverse", "maps",
                  "center_ids", "label", "_rows", "_idmap")
 
     def __init__(self, n, ids, imgs, packed, classes, center_ids=(),
@@ -167,7 +171,7 @@ class CommutingGraph:
         self.ids = np.asarray(ids, dtype=np.int64)
         self.imgs = np.asarray(imgs, dtype=np.int8)
         self.packed = np.asarray(packed, dtype=np.uint64)
-        self.reps, self.inverse = classes
+        self.reps, self.inverse, self.maps = classes
         self.center_ids = tuple(sorted(int(c) for c in center_ids))
         self.label = label
         self._rows = None
@@ -231,7 +235,7 @@ def graph_from_matrix(n, ids, mat, center_ids=(), label="",
         raise ValueError(f"{len(ids)} vertices exceeds cap {vertex_cap}")
     forest = orbit_forest(mat)
     packed = adjacency_packed(mat, forest)
-    return CommutingGraph(n, ids, mat, packed, forest[:2], center_ids, label)
+    return CommutingGraph(n, ids, mat, packed, forest[:3], center_ids, label)
 
 
 def build_graph(n: int, filt: str = "all", max_rank=None, center="monoid",
@@ -267,7 +271,7 @@ def build_graph(n: int, filt: str = "all", max_rank=None, center="monoid",
 
 def induced_subgraph(g: CommutingGraph, keep, label=None) -> CommutingGraph:
     """Subgraph on a subset of vertices (indices or a boolean mask), with
-    the classes ``orbit_forest`` finds on the kept rows."""
+    the classes and maps ``orbit_forest`` finds on the kept rows."""
     keep = np.asarray(keep)
     if keep.dtype == bool:
         keep = np.flatnonzero(keep)
@@ -276,7 +280,7 @@ def induced_subgraph(g: CommutingGraph, keep, label=None) -> CommutingGraph:
     imgs = g.imgs[keep]
     return CommutingGraph(g.n, g.ids[keep], imgs,
                           gather_packed(g.packed, keep, keep),
-                          orbit_forest(imgs)[:2], g.center_ids,
+                          orbit_forest(imgs)[:3], g.center_ids,
                           label or f"{g.label}-induced")
 
 
@@ -519,32 +523,35 @@ class _OutOfTime(Exception):
 
 def _relabeled_rows(g, keep: np.ndarray):
     """The members of the classes ``keep`` (a bool mask over ``g.reps``)
-    as rows reordered by descending degree within them, and that order as
-    a tuple of original indices."""
+    as rows reordered by descending degree within them, then class, then
+    index, so that each class is one run; that order as a tuple of
+    original indices; and the position where each run starts."""
     idx = np.flatnonzero(keep[g.inverse])
     if not len(idx):
-        return [], ()
-    sub_degs = _class_degrees(g, keep)[g.inverse[idx]]
-    order = idx[np.lexsort((idx, -sub_degs))]
+        return [], (), ()
+    cls = g.inverse[idx]
+    order = idx[np.lexsort((idx, cls, -_class_degrees(g, keep)[cls]))]
+    starts = np.flatnonzero(np.diff(g.inverse[order], prepend=-1))
     rows = [int.from_bytes(r.tobytes(), "little")
             for r in gather_packed(g.packed, order, order)]
-    return rows, tuple(order.tolist())
+    return rows, tuple(order.tolist()), tuple(starts.tolist())
 
 
 def _phase_rows(g, resume, min_deg):
-    """The relabeled rows a clique phase searches, their order and the
-    root positions to expand: the whole ``min_deg`` core on a fresh run
-    (``resume`` None), else the classes of the checkpoint's order, which
-    must relabel to that order, and its remaining roots."""
+    """The relabeled rows a clique phase searches, their order, the root
+    positions (one per class, its run's start) and those left to expand:
+    the whole ``min_deg`` core on a fresh run (``resume`` None), else the
+    classes of the checkpoint's order, which must relabel to that order,
+    and its remaining roots."""
     if resume is None:
-        rows, order = _relabeled_rows(g, _core_mask(g, min_deg))
-        return rows, order, range(len(rows))
+        rows, order, starts = _relabeled_rows(g, _core_mask(g, min_deg))
+        return rows, order, starts, starts
     keep = np.zeros(len(g.reps), dtype=bool)
     keep[g.inverse[np.asarray(resume.order, dtype=np.int64)]] = True
-    rows, order = _relabeled_rows(g, keep)
+    rows, order, starts = _relabeled_rows(g, keep)
     if order != resume.order:
         raise ValueError("checkpoint does not match this graph")
-    return rows, order, resume.roots_remaining
+    return rows, order, starts, resume.roots_remaining
 
 
 def _run_roots(rows, roots, floor, target, deadline):
@@ -572,6 +579,21 @@ def _run_roots(rows, roots, floor, target, deadline):
     return run, ()
 
 
+def _conjugates(maps, cliques):
+    """The cliques and their images under every product of the maps, as
+    sorted tuples without duplicates, sorted."""
+    seen = set(cliques)
+    todo = list(seen)
+    while todo:
+        batch, todo = np.array(todo), []
+        for m in maps:
+            for clique in map(tuple, np.sort(m[batch], axis=1).tolist()):
+                if clique not in seen:
+                    seen.add(clique)
+                    todo.append(clique)
+    return sorted(seen)
+
+
 def clique_number(g: CommutingGraph, budget_seconds=None,
                   resume: CliqueCheckpoint | None = None):
     """Exact clique number and one maximum clique (vertex indices).
@@ -580,10 +602,15 @@ def clique_number(g: CommutingGraph, budget_seconds=None,
     ``_GREEDY_STARTS`` of highest degree), each a walk over its start's
     neighbours that adds the candidate of highest degree, lowest index on
     ties, until none is left; peels once to the seed-size core, then
-    proves optimality by branch and bound.  A budget overrun raises
-    BudgetExceeded carrying a checkpoint; pass it back as ``resume``.
-    Each call finishes at least one root branch, so it can overrun its
-    budget by at most one branch and a resumed run always completes.
+    proves optimality by branch and bound.  The core is relabeled so that
+    each class is one run, and only a run's first position roots a
+    branch, over the later positions: a clique conjugated to put its
+    member of its earliest class at that class's first position lies in
+    that root's branch, since the core is a union of classes.  A budget
+    overrun raises BudgetExceeded carrying a checkpoint; pass it back as
+    ``resume``.  Each call finishes at least one root branch, so it can
+    overrun its budget by at most one branch and a resumed run always
+    completes.
     """
     if not g.num_vertices:
         return 0, ()
@@ -592,13 +619,13 @@ def clique_number(g: CommutingGraph, budget_seconds=None,
     if resume is not None and resume.phase != "max":
         raise ValueError("checkpoint is not from a clique_number run")
     best = sorted(_greedy_best(g) if resume is None else resume.best)
-    rows, order, roots = _phase_rows(g, resume, min_deg=len(best))
+    rows, order, starts, roots = _phase_rows(g, resume, min_deg=len(best))
     run, unfinished = _run_roots(rows, roots, len(best), None, deadline)
     if run.best:
         best = sorted(order[i] for i in run.best)
     if unfinished:
         raise BudgetExceeded(CliqueCheckpoint(
-            "max", order, unfinished, tuple(best), None, ()))
+            "max", order, unfinished, tuple(best), None, ()), len(starts))
     return len(best), tuple(best)
 
 
@@ -607,12 +634,16 @@ def maximum_cliques(g: CommutingGraph, budget_seconds=None,
     """Every maximum clique, as sorted tuples of vertex indices, sorted
     lexicographically; an empty graph has the one clique ``()``.
 
-    Finds the clique number with ``clique_number``, then enumerates every
-    clique of that size over the matching core.  Both phases share one
-    deadline.  A budget overrun raises BudgetExceeded carrying a
-    checkpoint from whichever phase was running; pass it back as
-    ``resume``.  Each phase finishes at least one root branch per call,
-    so a call can overrun its budget by at most one root branch per phase.
+    Finds the clique number with ``clique_number``, then enumerates the
+    cliques of that size over the matching core in the root branches of
+    its class runs, which meet every conjugation orbit of maximum cliques
+    (see ``clique_number``), and closes the finds under the graph's
+    conjugation maps, which generate S_n.  Both phases share one deadline.
+    A budget overrun raises BudgetExceeded carrying a checkpoint from
+    whichever phase was running, whose finds are not yet closed; pass it
+    back as ``resume``.  Each phase finishes at least one root branch per
+    call, so a call can overrun its budget by at most one root branch per
+    phase.
     """
     deadline = (time.perf_counter() + budget_seconds
                 if budget_seconds is not None else None)
@@ -624,13 +655,14 @@ def maximum_cliques(g: CommutingGraph, budget_seconds=None,
         resume, found = None, []
     else:
         size, found = resume.target, list(resume.found)
-    rows, order, roots = _phase_rows(g, resume, min_deg=size - 1)
+    rows, order, starts, roots = _phase_rows(g, resume, min_deg=size - 1)
     run, unfinished = _run_roots(rows, roots, size - 1, size, deadline)
     found += [tuple(sorted(order[i] for i in clique)) for clique in run.found]
     found.sort()
     if unfinished:
         raise BudgetExceeded(CliqueCheckpoint(
-            "enum", order, unfinished, (), size, tuple(found)))
+            "enum", order, unfinished, (), size, tuple(found)), len(starts))
+    found = _conjugates(g.maps, found)
     adj = g.rows()
     for clique in found:
         mask = sum(1 << v for v in clique)
@@ -726,5 +758,5 @@ def load_packed(path) -> CommutingGraph:
     # rejects it if too big.
     element_from_id(n, int(ids.max()) if nverts else 0)
     imgs = decode(n, monoid_decoder(n), ids.astype(np.int64))
-    return CommutingGraph(n, ids, imgs, packed, orbit_forest(imgs)[:2],
+    return CommutingGraph(n, ids, imgs, packed, orbit_forest(imgs)[:3],
                           center_ids, label)

@@ -10,7 +10,8 @@ from collections import deque
 
 import numpy as np
 
-from invsemi._bulk import _stratum_tables, pack_bool_rows
+from invsemi import graph as gm
+from invsemi._bulk import _stratum_tables, gather_packed, pack_bool_rows
 from invsemi.construct import SemigroupFlags
 from invsemi.pinj import PInj, UNDEF, decompose
 
@@ -134,16 +135,52 @@ def oracle_core_mask(packed, min_deg):
         alive[idx[drop]] = False
 
 
-def oracle_relabel_order(packed, alive):
-    """The alive vertices by descending degree within the alive set, ties
-    by index, with each row's alive neighbours counted one row at a time:
-    the reference for ``graph._relabeled_rows``, which counts on the
-    representatives of the alive classes.  The counts are signed, so an
-    isolated vertex sorts last."""
+def oracle_relabel_order(packed, alive, inverse=None):
+    """The alive vertices by descending degree within the alive set, then
+    by class (``inverse``, each vertex's class; by default every vertex is
+    its own class), then by index, with each row's alive neighbours counted
+    one row at a time: the reference for ``graph._relabeled_rows``, which
+    counts on the representatives of the alive classes.  The counts are
+    signed, so an isolated vertex sorts last."""
     words = pack_bool_rows(alive[None, :], len(alive))[0]
     idx = np.flatnonzero(alive)
+    cls = idx if inverse is None else inverse[idx]
     degs = np.bitwise_count(packed[idx] & words).sum(axis=1, dtype=np.int64)
-    return idx[np.lexsort((idx, -degs))]
+    return idx[np.lexsort((idx, cls, -degs))]
+
+
+def oracle_clique_search(g):
+    """(clique number, a maximum clique, every maximum clique) by the
+    clique search with one root branch per vertex: the greedy seed, then
+    branch and bound from every vertex of the row-level core, in
+    descending degree order, over the later vertices, once for the clique
+    number and once to enumerate.  The reference for
+    ``graph.clique_number`` and ``graph.maximum_cliques``, which root one
+    branch per conjugacy class and close the enumeration under
+    conjugation."""
+    if not g.num_vertices:
+        return 0, (), [()]
+
+    def search(floor, target):
+        order = oracle_relabel_order(
+            g.packed, oracle_core_mask(g.packed, floor))
+        rows = [int.from_bytes(r.tobytes(), "little")
+                for r in gather_packed(g.packed, order, order)]
+        run = gm._CliqueRun(rows, floor, target)
+        for i, row in enumerate(rows):
+            cand = row >> (i + 1) << (i + 1)
+            if 1 + cand.bit_count() > run.floor:
+                run.expand([i], cand)
+        return run, order.tolist()
+
+    best = sorted(gm._greedy_best(g))
+    run, order = search(len(best), None)
+    if run.best:
+        best = sorted(order[i] for i in run.best)
+    size = len(best)
+    run, order = search(size - 1, size)
+    found = sorted(tuple(sorted(order[i] for i in c)) for c in run.found)
+    return size, tuple(best), found
 
 
 def oracle_greedy_from(rows, start, by_degree):

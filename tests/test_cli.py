@@ -8,6 +8,7 @@ import pytest
 
 from invsemi import cli
 from invsemi import graph as gm
+from invsemi.pinj import format_element
 
 
 def run_main(capsys, argv):
@@ -125,7 +126,7 @@ def test_budget_exit_code(capsys, monkeypatch):
 def test_budget_progress_reaches_cli(capsys, monkeypatch):
     def trip(report, params, ctx):
         raise gm.BudgetExceeded(gm.CliqueCheckpoint(
-            "max", (4, 2, 7), (7,), (2, 4), None, ()))
+            "max", (4, 2, 7), (7,), (2, 4), None, ()), 3)
 
     monkeypatch.setitem(cli._SUITES, "lambda", trip)
     code, _, err = run_main(capsys, ["verify", "lambda"])
@@ -358,6 +359,24 @@ def test_graph_summary_and_exports(capsys, tmp_path):
     assert d["clique_number"] == 6
     assert save.exists() and dot.exists()
     assert gm.load_packed(save).num_vertices == 32
+
+
+def test_graph_clique_is_the_least_maximum_clique(capsys):
+    # the witness is maximum_cliques(g)[0], not whichever maximum clique
+    # the greedy seed or the branch and bound met first
+    code, out, _ = run_main(capsys, ["graph", "--n", "5", "--filter",
+                                     "nilpotent", "--clique", "--json"])
+    assert code == 0
+    d = json.loads(out)
+    g = gm.build_graph(5, "nilpotent", center="ideal")
+    least = gm.maximum_cliques(g)[0]
+    assert d["clique_number"] == len(least) == 12
+    assert d["clique"] == ["[1 2]", "[1 3]", "[1 4]", "[5 2]", "[5 3]",
+                           "[5 4]", "[1 2]|[5 3]", "[1 3]|[5 2]",
+                           "[1 2]|[5 4]", "[1 4]|[5 2]", "[1 3]|[5 4]",
+                           "[1 4]|[5 3]"]
+    assert d["clique"] == [format_element(g.vertex_element(i))
+                           for i in least]
 
 
 def test_graph_filters(capsys):

@@ -19,8 +19,9 @@ from invsemi.pinj import (PInj, UNDEF, classify, decompose, element_from_id,
 from helpers import (brute_adjacency, brute_components, brute_distance,
                      brute_eccentricity, brute_max_cliques,
                      dense_adjacency_packed, multi_source_bfs,
-                     oracle_core_mask, oracle_decode, oracle_degrees,
-                     oracle_greedy_from, oracle_relabel_order)
+                     oracle_clique_search, oracle_core_mask, oracle_decode,
+                     oracle_degrees, oracle_greedy_from,
+                     oracle_relabel_order)
 
 
 def graph_elements(g):
@@ -34,7 +35,7 @@ def dense_graph(mat, label, n=6):
     packed = pack_bool_rows(mat, nv)
     ids = np.arange(nv, dtype=np.int64)
     imgs = np.full((nv, n), n, dtype=np.int8)
-    return gm.CommutingGraph(n, ids, imgs, packed, orbit_forest(imgs)[:2],
+    return gm.CommutingGraph(n, ids, imgs, packed, orbit_forest(imgs)[:3],
                              (), label)
 
 
@@ -237,7 +238,7 @@ def check_forest(mat):
     """The orbit pulls form a Schreier forest: each non-representative row
     is pulled last exactly once, from a row in its own class that is a
     representative or was pulled last at an earlier step."""
-    reps, inverse, pulls = orbit_forest(mat)
+    reps, inverse, _, pulls = orbit_forest(mat)
     unset = len(pulls)
     step = np.full(len(mat), unset)
     step[reps] = -1
@@ -273,7 +274,7 @@ def test_conjugacy_classes_are_conjugation_orbits():
             for max_rank in (None, *range(1, n)):
                 ids, mat = elements_matrix(n, filt, max_rank)
                 for rows in (mat, mat[ids != 0]):
-                    reps, inverse, _ = orbit_forest(rows)
+                    reps, inverse, _, _ = orbit_forest(rows)
                     index = {r.tobytes(): i for i, r in enumerate(rows)}
                     for _ in range(3):
                         s = rng.permutation(n)
@@ -299,7 +300,7 @@ def with_twin(g, k):
     packed[big_n, k >> 6] |= np.uint64(1 << (k & 63))
     imgs = g.imgs[idx]
     return gm.CommutingGraph(g.n, g.ids[idx], imgs, packed,
-                             orbit_forest(imgs)[:2])
+                             orbit_forest(imgs)[:3])
 
 
 def family_sweep():
@@ -318,7 +319,8 @@ def family_sweep():
 
 def test_class_counts_match_row_oracles():
     # degrees, the k-core peel and the relabel order read one row per
-    # class; the row-level oracles read every row
+    # class; the row-level oracles read every row.  The relabel order puts
+    # each class in one run, whose first position is a clique root.
     for h in family_sweep():
         degs = oracle_degrees(h)
         assert h.degrees().tolist() == degs.tolist()
@@ -333,9 +335,15 @@ def test_class_counts_match_row_oracles():
             cores[keep.tobytes()] = keep, core
         # equal cores have equal orders; relabel each core once
         for keep, core in cores.values():
-            _, order = gm._relabeled_rows(h, keep)
+            _, order, starts = gm._relabeled_rows(h, keep)
             assert order == tuple(
-                oracle_relabel_order(h.packed, core).tolist())
+                oracle_relabel_order(h.packed, core, h.inverse).tolist())
+            cls = h.inverse[list(order)].tolist()
+            bounds = (*starts, len(order))
+            runs = [cls[a:b] for a, b in zip(bounds, bounds[1:])]
+            assert all(run == run[:1] * len(run) for run in runs)
+            assert sorted(run[0] for run in runs) == \
+                np.flatnonzero(keep).tolist()
 
 
 def test_adjacency_kernel_full_n6(full_graphs, monkeypatch):
@@ -589,7 +597,8 @@ def test_diameter_reads_connectivity_from_eccentricities(ideal_graphs,
 
 
 def test_one_orbit_pass_per_graph(monkeypatch):
-    # the build finds the classes once, and the diameter's BFS reads them
+    # the build finds the classes and maps once, and the diameter's BFS
+    # and the clique search read them
     calls = []
     maps = _bulk._conjugation_maps
 
@@ -600,6 +609,8 @@ def test_one_orbit_pass_per_graph(monkeypatch):
     monkeypatch.setattr(_bulk, "_conjugation_maps", counted)
     g = gm.build_graph(6, max_rank=3, center="ideal")
     assert gm.diameter(g).value == 3
+    # the enumeration closes its finds under the maps the build kept
+    assert [len(c) for c in gm.maximum_cliques(g)] == [41]
     assert calls == [2886]
 
 
@@ -753,6 +764,37 @@ def test_clique_on_synthetic_graph():
     assert size == want
 
 
+def check_against_every_vertex_roots(g, brute=False):
+    """Class roots give the clique number and maximum cliques of the
+    search with one root per vertex, and (``brute``) the maximum cliques
+    Bron-Kerbosch finds.  The witness is one of those cliques; where the
+    greedy seed falls short of the clique number it is the first better
+    clique of each search's own order, so it may differ."""
+    size, _, cliques = oracle_clique_search(g)
+    got, wit = gm.clique_number(g)
+    assert got == size and wit in cliques
+    assert gm.maximum_cliques(g) == cliques
+    if brute:
+        nv, rows = g.num_vertices, g.rows()
+        adj = {i: {j for j in range(nv) if (rows[i] >> j) & 1}
+               for i in range(nv)}
+        assert brute_max_cliques(adj) == (size, {frozenset(c)
+                                                 for c in cliques})
+
+
+def test_class_roots_match_every_vertex_roots():
+    # every family sweep graph (as is, without row 0, and twinned, where
+    # every vertex is its own class), the nilpotents of I(7) and three
+    # random graphs
+    for g in family_sweep():
+        check_against_every_vertex_roots(g, brute=g.num_vertices <= 100)
+    check_against_every_vertex_roots(
+        gm.build_graph(7, "nilpotent", center="ideal"))
+    for nv, p, seed in ((60, 0.5, 1), (120, 0.4, 3), (400, 0.05, 5)):
+        check_against_every_vertex_roots(synthetic_graph(nv, p, seed),
+                                         brute=nv <= 120)
+
+
 def test_budget_trips_and_resume_completes():
     g = synthetic_graph(300, 0.6, seed=42)
     full_size, _ = gm.clique_number(g)
@@ -779,17 +821,18 @@ def resume_to_end(call, max_trips):
 
 
 def test_zero_budget_resume_makes_progress():
-    # Both phases have a root branch here that outlasts any zero budget.
-    g = synthetic_graph(160, 0.65, seed=42)
-    size, wit = gm.clique_number(g)
-    cliques = gm.maximum_cliques(g)
-    assert {len(c) for c in cliques} == {size}
-    max_trips = g.num_vertices + 1
-    assert resume_to_end(lambda ckpt: gm.clique_number(
-        g, budget_seconds=0, resume=ckpt), max_trips) == (size, wit)
-    # a run of both phases resumes from a checkpoint of either
-    assert resume_to_end(lambda ckpt: gm.maximum_cliques(
-        g, budget_seconds=0, resume=ckpt), 2 * max_trips) == cliques
+    # Both phases have a root branch on the random graph that outlasts any
+    # zero budget; the nilpotents of I(6) have a root per class.  The
+    # chains end at the every-vertex-root oracle's results.
+    for g in (synthetic_graph(160, 0.65, seed=42),
+              gm.build_graph(6, "nilpotent", center="ideal")):
+        size, wit, cliques = oracle_clique_search(g)
+        max_trips = len(g.reps) + 1
+        assert resume_to_end(lambda ckpt: gm.clique_number(
+            g, budget_seconds=0, resume=ckpt), max_trips) == (size, wit)
+        # a run of both phases resumes from a checkpoint of either
+        assert resume_to_end(lambda ckpt: gm.maximum_cliques(
+            g, budget_seconds=0, resume=ckpt), 2 * max_trips) == cliques
 
 
 def test_both_clique_phases_share_one_deadline(monkeypatch):
@@ -843,6 +886,21 @@ def test_budget_message_reports_progress():
     assert str(exc.value) == (
         f"time budget exceeded after {done}/{total} root branches;"
         f" {len(ckpt.found)} cliques of size {ckpt.target} found so far")
+    # the nilpotents of I(6) have 1,170 core vertices in 5 classes, and
+    # each phase roots one branch per class
+    g = gm.build_graph(6, "nilpotent", center="ideal")
+    with pytest.raises(gm.BudgetExceeded) as exc:
+        gm.clique_number(g, budget_seconds=0)
+    assert len(exc.value.checkpoint.order) == 1170
+    assert str(exc.value) == ("time budget exceeded after 1/5 root branches;"
+                              " best clique so far has 33 vertices")
+    ckpt = None
+    while ckpt is None or ckpt.phase == "max":
+        with pytest.raises(gm.BudgetExceeded) as exc:
+            gm.maximum_cliques(g, budget_seconds=0, resume=ckpt)
+        ckpt = exc.value.checkpoint
+    assert str(exc.value) == ("time budget exceeded after 1/5 root branches;"
+                              " 6 cliques of size 33 found so far")
 
 
 # -- persistence and exports -------------------------------------------------------
@@ -889,7 +947,7 @@ def test_load_detects_corruption(full_graphs, tmp_path):
         ids[-1] = top
         far = tmp_path / "far.bin"
         gm.save_packed(gm.CommutingGraph(3, ids, g.imgs, g.packed,
-                                           (g.reps, g.inverse)), far)
+                                           (g.reps, g.inverse, g.maps)), far)
         with pytest.raises(ValueError, match="out of range"):
             gm.load_packed(far)
 
