@@ -1,6 +1,11 @@
 """Partial injective transformations on a finite set: normal forms,
 commutation, extremal commutative subsemigroups, and commuting graphs."""
 
+import numpy as _np
+
+if int(_np.__version__.split(".")[0]) < 2:
+    raise ImportError(f"invsemi needs numpy>=2.0, found {_np.__version__}")
+
 from .pinj import (
     UNDEF,
     PInj,

@@ -5,14 +5,15 @@ commuting elements, and declared central elements are excluded up front.
 Adjacency lives in a bit-packed uint64 matrix; breadth-first searches run
 over Python-int rows (word-parallel OR).  The clique solver seeds with one
 greedy clique per class representative, each a walk over its start's
-neighbours only, peels once in numpy to the k-core of the seed's size,
-and proves optimality by branch-and-bound with greedy coloring bounds
-(Tomita & Seki's MCQ) over the same bitsets.  A graph keeps the conjugacy
-classes and the two conjugation maps its build found (conjugation is a
-graph automorphism): degrees, the peel, the relabel order, the greedy
-starts and the BFS sources read one row per class, the branch-and-bound
-expands one root branch per class, and the enumerated maximum cliques are
-closed under the maps.
+neighbours only, then proves optimality by branch-and-bound with greedy
+coloring bounds (Tomita & Seki's MCQ) on one small local graph per class
+root, rooting the classes of least degree first (a degeneracy order, as
+in Eppstein, Löffler & Strash) and peeling whole classes in numpy in
+between.  A graph keeps the conjugacy classes and the two conjugation
+maps its build found (conjugation is a graph automorphism): degrees, the
+peel, the greedy starts, the clique roots and the BFS sources read one
+row per class, and the enumerated maximum cliques are closed under the
+maps.
 
 Everything here is deterministic: vertex order is ID order, path
 reconstruction always picks the lowest-index predecessor, and clique
@@ -74,14 +75,13 @@ _FORMAT_HEAD = "<BHQHH"  # version, n, vertex count, center count, label length
 
 
 class BudgetExceeded(RuntimeError):
-    """A time budget ran out; ``checkpoint`` resumes where work stopped.
-    ``roots`` is the number of root branches of the checkpoint's phase."""
+    """A time budget ran out; ``checkpoint`` resumes where work stopped."""
 
-    def __init__(self, checkpoint, roots=None):
+    def __init__(self, checkpoint):
         msg = "time budget exceeded"
         if checkpoint is not None:
-            done = roots - len(checkpoint.roots_remaining)
-            msg += f" after {done}/{roots} root branches; "
+            done = len(checkpoint.rooted)
+            msg += f" after {done}/{done + checkpoint.left} root branches; "
             if checkpoint.phase == "max":
                 msg += f"best clique so far has {len(checkpoint.best)} vertices"
             else:
@@ -93,18 +93,18 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CliqueCheckpoint:
-    """Resumable state of a clique run, at root-branch granularity.
+    """Resumable state of a clique phase, at root-branch granularity.
 
-    ``order`` is the vertex relabeling in effect (original indices in
-    search order); ``roots_remaining`` are positions in that order whose
-    branches still need work.  ``best``/``found`` hold original indices;
+    ``rooted`` are the class representatives whose root branches are
+    done, in order, and ``left`` counts the classes still in the core
+    when the budget ran out.  ``best``/``found`` hold vertex indices;
     ``found`` holds the cliques the root branches found, before
     ``maximum_cliques`` closes them under conjugation.
     """
 
     phase: str
-    order: tuple
-    roots_remaining: tuple
+    rooted: tuple
+    left: int
     best: tuple
     target: int | None
     found: tuple
@@ -184,7 +184,7 @@ class CommutingGraph:
     def degrees(self) -> np.ndarray:
         """Per-vertex degree, counted on the representative rows."""
         every = np.ones(len(self.reps), dtype=bool)
-        return _class_degrees(self, every)[self.inverse]
+        return _peel(self, every, 0)[1][self.inverse]
 
     def num_edges(self) -> int:
         return int(self.degrees().sum()) // 2
@@ -401,28 +401,23 @@ def diameter(g: CommutingGraph) -> DistanceResult:
 # -- exact maximum clique -------------------------------------------------------
 
 
-def _class_degrees(g: CommutingGraph, keep: np.ndarray) -> np.ndarray:
-    """Degree of each class in the subgraph of the classes ``keep`` (a
-    bool mask over ``g.reps``; 0 for the others), counted on the
-    representative's row.  Exact for every member: the kept vertices are a
-    union of classes, which conjugation maps onto itself."""
-    alive = pack_bool_rows(keep[g.inverse][None, :], g.num_vertices)[0]
-    degs = np.zeros(len(keep), dtype=np.int64)
-    degs[keep] = np.bitwise_count(g.packed[g.reps[keep]] & alive).sum(axis=1)
-    return degs
-
-
-def _core_mask(g: CommutingGraph, min_deg: int) -> np.ndarray:
-    """Iterated peel: keep vertices with at least ``min_deg`` surviving
-    neighbors.  Contains every clique on more than ``min_deg`` vertices.
-    Peels whole classes and returns the kept ones, a bool mask over
-    ``g.reps``."""
-    keep = np.ones(len(g.reps), dtype=bool)
+def _peel(g: CommutingGraph, keep: np.ndarray, floor: int):
+    """Iterated peel of the classes ``keep`` (a bool mask over ``g.reps``):
+    drop whole classes with fewer than ``floor`` kept neighbours until none
+    is left.  Returns the kept classes and their degrees among them (0 for
+    the others); they hold every clique above ``floor`` inside ``keep``.
+    A class's degree is counted on its representative's row, which is
+    exact for every member: the kept vertices are a union of classes,
+    which conjugation maps onto itself."""
     while True:
-        drop = keep & (_class_degrees(g, keep) < min_deg)
+        alive = pack_bool_rows(keep[g.inverse][None, :], g.num_vertices)[0]
+        degs = np.zeros(len(keep), dtype=np.int64)
+        degs[keep] = np.bitwise_count(g.packed[g.reps[keep]]
+                                      & alive).sum(axis=1)
+        drop = keep & (degs < floor)
         if not drop.any():
-            return keep
-        keep &= ~drop
+            return keep, degs
+        keep = keep & ~drop
 
 
 def _greedy_from(rows, degs, start):
@@ -472,14 +467,15 @@ def _color_sort(p_mask: int, rows):
 
 
 class _CliqueRun:
-    """Shared state of one branch-and-bound pass over a relabeled graph.
+    """Shared state of one branch-and-bound pass over a graph's rows.
 
-    A branch is pruned once its coloring bound cannot beat ``floor``.  In
-    max mode (``target`` None) ``floor`` is the incumbent size and rises
-    at each better leaf; ``best`` holds a witness only when this pass
+    A branch is pruned once its coloring bound cannot beat ``floor``, and
+    ``found`` collects every leaf above it.  In max mode (``target``
+    None) ``floor`` is the incumbent size and rises to each leaf found,
+    so the last find is the best, and ``found`` is empty unless this pass
     itself improved on the initial floor (the caller's seed clique may
-    live outside the peeled subgraph).  In enum mode ``floor`` is
-    ``target - 1`` and ``found`` collects every leaf above it.
+    live outside the searched graph).  In enum mode ``floor`` is
+    ``target - 1``.
     """
 
     def __init__(self, rows, floor, target=None):
@@ -487,7 +483,6 @@ class _CliqueRun:
         self.floor = floor
         self.target = target
         self.deadline = None
-        self.best = []
         self.found = []
         self.nodes = 0
 
@@ -500,11 +495,9 @@ class _CliqueRun:
             if len(cur) > self.floor:
                 if self.target is None:
                     self.floor = len(cur)
-                    self.best = list(cur)
                 elif len(cur) > self.target:
                     raise AssertionError("target below true clique number")
-                else:
-                    self.found.append(tuple(cur))
+                self.found.append(tuple(cur))
             return
         order, colors = _color_sort(p_mask, self.rows)
         for j in range(len(order) - 1, -1, -1):
@@ -521,62 +514,79 @@ class _OutOfTime(Exception):
     pass
 
 
-def _relabeled_rows(g, keep: np.ndarray):
-    """The members of the classes ``keep`` (a bool mask over ``g.reps``)
-    as rows reordered by descending degree within them, then class, then
-    index, so that each class is one run; that order as a tuple of
-    original indices; and the position where each run starts."""
-    idx = np.flatnonzero(keep[g.inverse])
-    if not len(idx):
-        return [], (), ()
-    cls = g.inverse[idx]
-    order = idx[np.lexsort((idx, cls, -_class_degrees(g, keep)[cls]))]
-    starts = np.flatnonzero(np.diff(g.inverse[order], prepend=-1))
-    rows = [int.from_bytes(r.tobytes(), "little")
-            for r in gather_packed(g.packed, order, order)]
-    return rows, tuple(order.tolist()), tuple(starts.tolist())
-
-
-def _phase_rows(g, resume, min_deg):
-    """The relabeled rows a clique phase searches, their order, the root
-    positions (one per class, its run's start) and those left to expand:
-    the whole ``min_deg`` core on a fresh run (``resume`` None), else the
-    classes of the checkpoint's order, which must relabel to that order,
-    and its remaining roots."""
-    if resume is None:
-        rows, order, starts = _relabeled_rows(g, _core_mask(g, min_deg))
-        return rows, order, starts, starts
-    keep = np.zeros(len(g.reps), dtype=bool)
-    keep[g.inverse[np.asarray(resume.order, dtype=np.int64)]] = True
-    rows, order, starts = _relabeled_rows(g, keep)
-    if order != resume.order:
-        raise ValueError("checkpoint does not match this graph")
-    return rows, order, starts, resume.roots_remaining
-
-
-def _run_roots(rows, roots, floor, target, deadline):
-    """Expand root branches in order; returns the run and the roots left
-    unfinished when the deadline passed.
-
-    The first root always runs to the end, so every call makes progress
-    however small its budget.  The clock is read before each later root
-    and every 2048 nodes inside one.  Cliques found in an unfinished root
-    are dropped: resuming expands that root again from the start.
+def _search_roots(g, found, target, resume, deadline):
+    """One clique phase: each clique above the floor as it raises it
+    (``target`` None; ``found`` ends with the best so far), or every
+    clique of ``target`` vertices, appended to ``found``.  Peel whole
+    classes at the floor, search the local graph (r and its surviving
+    neighbours) of the surviving class of least degree at its
+    representative r, drop the class and repeat until none survives.
+    Exact: a clique above the floor survives until its first class is
+    rooted, and the survivors are a union of classes, so the clique's
+    conjugate through r lies in r's local graph.  The survivors are the
+    floor's core of the classes not yet rooted, so a ``resume`` needs only
+    the representatives rooted before.  Returns ``found`` and the
+    representatives rooted.  The first root always runs to the end; the
+    clock is read before each later root and every 2048 nodes inside one,
+    and a budget overrun drops the unfinished root's finds.
     """
-    run = _CliqueRun(rows, floor, target)
-    for pos, i in enumerate(roots):
-        if pos and deadline is not None and time.perf_counter() > deadline:
-            return run, tuple(roots[pos:])
-        cand = rows[i] >> (i + 1) << (i + 1)
-        kept = len(run.found)
-        try:
-            if 1 + cand.bit_count() > run.floor:
-                run.expand([i], cand)
-        except _OutOfTime:
-            del run.found[kept:]
-            return run, tuple(roots[pos:])
-        run.deadline = deadline
-    return run, ()
+    floor = len(found[-1]) if target is None else target - 1
+    rooted = [] if resume is None else [int(r) for r in resume.rooted]
+    at = np.searchsorted(g.reps, rooted)
+    if not np.array_equal(g.reps[np.minimum(at, len(g.reps) - 1)], rooted):
+        raise ValueError("checkpoint does not match this graph")
+    keep = np.ones(len(g.reps), dtype=bool)
+    keep[at] = False
+    keep, degs_of = _peel(g, keep, floor)
+    # Positions below are in the core, gathered once.  Class members share
+    # a degree, so the first of least degree is a representative.  A
+    # dropped vertex's degree is set to ``done``, above the core size.
+    core = np.flatnonzero(keep[g.inverse])
+    rows = gather_packed(g.packed, core, core)
+    cls, done = g.inverse[core], np.iinfo(np.int64).max
+    degs = np.full(rows.shape[1] * 64, done)  # one per bit of a row
+    degs[:len(core)] = degs_of[cls]
+    left, late = int(keep.sum()), None
+    try:
+        while left:
+            if late is not None and time.perf_counter() > late:
+                raise _OutOfTime()
+            r = int(np.argmin(degs))
+            nbrs = rows[r] & np.packbits(degs <= len(core),
+                                         bitorder="little").view(np.uint64)
+            local = np.flatnonzero(np.unpackbits(nbrs.view(np.uint8),
+                                                 bitorder="little"))
+            # the other members of a clique above the floor through r have
+            # ``floor - 1`` or more neighbours among r's: skip r if too few
+            if (np.bitwise_count(rows[local] & nbrs).sum(axis=1)
+                    >= floor - 1).sum() >= floor:
+                local = np.concatenate(([r], local))
+                block = gather_packed(rows, local, local)
+                run = _CliqueRun([int.from_bytes(row.tobytes(), "little")
+                                  for row in block], floor, target)
+                run.deadline = late
+                run.expand([0], run.rows[0])
+                found += [tuple(sorted(core[local[list(clique)]].tolist()))
+                          for clique in run.found]
+                floor = run.floor
+            rooted.append(int(core[r]))
+            gone = np.flatnonzero(cls == cls[r])
+            while len(gone):
+                # each vertex loses its dropped neighbours, 64 rows at a time
+                left -= len(np.unique(cls[gone]))
+                degs[gone] = done
+                for s in range(0, len(gone), 64):
+                    bits = rows[gone[s:s + 64]].view(np.uint8)
+                    degs -= np.unpackbits(bits, axis=1, bitorder="little"
+                                          ).sum(0, dtype=int)
+                gone = np.flatnonzero(degs < floor)
+            late = deadline
+    except _OutOfTime:
+        best, finds = (found[-1], ()) if target is None else ((), found)
+        raise BudgetExceeded(CliqueCheckpoint(
+            "max" if target is None else "enum", tuple(rooted), left,
+            tuple(best), target, tuple(sorted(finds)))) from None
+    return found, rooted
 
 
 def _conjugates(maps, cliques):
@@ -601,16 +611,13 @@ def clique_number(g: CommutingGraph, budget_seconds=None,
     Seeds with one greedy clique per class representative (the
     ``_GREEDY_STARTS`` of highest degree), each a walk over its start's
     neighbours that adds the candidate of highest degree, lowest index on
-    ties, until none is left; peels once to the seed-size core, then
-    proves optimality by branch and bound.  The core is relabeled so that
-    each class is one run, and only a run's first position roots a
-    branch, over the later positions: a clique conjugated to put its
-    member of its earliest class at that class's first position lies in
-    that root's branch, since the core is a union of classes.  A budget
-    overrun raises BudgetExceeded carrying a checkpoint; pass it back as
-    ``resume``.  Each call finishes at least one root branch, so it can
-    overrun its budget by at most one branch and a resumed run always
-    completes.
+    ties, until none is left; then proves optimality by branch and bound
+    on one local graph per class root (see ``_search_roots``), the floor
+    rising with each better clique.  A budget overrun raises
+    BudgetExceeded carrying a checkpoint; pass it back as ``resume``.
+    Each call finishes at least one root branch, so it can overrun its
+    budget by at most one branch and a resumed run always completes, with
+    the result of an unbudgeted call.
     """
     if not g.num_vertices:
         return 0, ()
@@ -619,13 +626,7 @@ def clique_number(g: CommutingGraph, budget_seconds=None,
     if resume is not None and resume.phase != "max":
         raise ValueError("checkpoint is not from a clique_number run")
     best = sorted(_greedy_best(g) if resume is None else resume.best)
-    rows, order, starts, roots = _phase_rows(g, resume, min_deg=len(best))
-    run, unfinished = _run_roots(rows, roots, len(best), None, deadline)
-    if run.best:
-        best = sorted(order[i] for i in run.best)
-    if unfinished:
-        raise BudgetExceeded(CliqueCheckpoint(
-            "max", order, unfinished, tuple(best), None, ()), len(starts))
+    best = _search_roots(g, [best], None, resume, deadline)[0][-1]
     return len(best), tuple(best)
 
 
@@ -635,15 +636,14 @@ def maximum_cliques(g: CommutingGraph, budget_seconds=None,
     lexicographically; an empty graph has the one clique ``()``.
 
     Finds the clique number with ``clique_number``, then enumerates the
-    cliques of that size over the matching core in the root branches of
-    its class runs, which meet every conjugation orbit of maximum cliques
-    (see ``clique_number``), and closes the finds under the graph's
-    conjugation maps, which generate S_n.  Both phases share one deadline.
-    A budget overrun raises BudgetExceeded carrying a checkpoint from
-    whichever phase was running, whose finds are not yet closed; pass it
-    back as ``resume``.  Each phase finishes at least one root branch per
-    call, so a call can overrun its budget by at most one root branch per
-    phase.
+    cliques of that size on the class roots' local graphs, which meet
+    every conjugation orbit of maximum cliques (see ``_search_roots``),
+    and closes the finds under the graph's conjugation maps, which
+    generate S_n.  Both phases share one deadline.  A budget overrun
+    raises BudgetExceeded carrying a checkpoint from whichever phase was
+    running, whose finds are not yet closed; pass it back as ``resume``.
+    Each phase finishes at least one root branch per call, so a call can
+    overrun its budget by at most one root branch per phase.
     """
     deadline = (time.perf_counter() + budget_seconds
                 if budget_seconds is not None else None)
@@ -655,13 +655,7 @@ def maximum_cliques(g: CommutingGraph, budget_seconds=None,
         resume, found = None, []
     else:
         size, found = resume.target, list(resume.found)
-    rows, order, starts, roots = _phase_rows(g, resume, min_deg=size - 1)
-    run, unfinished = _run_roots(rows, roots, size - 1, size, deadline)
-    found += [tuple(sorted(order[i] for i in clique)) for clique in run.found]
-    found.sort()
-    if unfinished:
-        raise BudgetExceeded(CliqueCheckpoint(
-            "enum", order, unfinished, (), size, tuple(found)), len(starts))
+    found, _ = _search_roots(g, found, size, resume, deadline)
     found = _conjugates(g.maps, found)
     adj = g.rows()
     for clique in found:

@@ -120,7 +120,7 @@ def oracle_degrees(g):
 def oracle_core_mask(packed, min_deg):
     """The vertices left by peeling, one row at a time, every vertex with
     fewer than ``min_deg`` alive neighbours until none is left to peel:
-    the reference for ``graph._core_mask``, which peels whole conjugacy
+    the reference for ``graph._peel``, which peels whole conjugacy
     classes by their representatives' counts."""
     alive = np.ones(packed.shape[0], dtype=bool)
     while True:
@@ -135,18 +135,15 @@ def oracle_core_mask(packed, min_deg):
         alive[idx[drop]] = False
 
 
-def oracle_relabel_order(packed, alive, inverse=None):
+def oracle_relabel_order(packed, alive):
     """The alive vertices by descending degree within the alive set, then
-    by class (``inverse``, each vertex's class; by default every vertex is
-    its own class), then by index, with each row's alive neighbours counted
-    one row at a time: the reference for ``graph._relabeled_rows``, which
-    counts on the representatives of the alive classes.  The counts are
-    signed, so an isolated vertex sorts last."""
+    by index, with each row's alive neighbours counted one row at a time:
+    the vertex order of ``oracle_clique_search``.  The counts are signed,
+    so an isolated vertex sorts last."""
     words = pack_bool_rows(alive[None, :], len(alive))[0]
     idx = np.flatnonzero(alive)
-    cls = idx if inverse is None else inverse[idx]
     degs = np.bitwise_count(packed[idx] & words).sum(axis=1, dtype=np.int64)
-    return idx[np.lexsort((idx, cls, -degs))]
+    return idx[np.lexsort((idx, -degs))]
 
 
 def oracle_clique_search(g):
@@ -156,7 +153,7 @@ def oracle_clique_search(g):
     descending degree order, over the later vertices, once for the clique
     number and once to enumerate.  The reference for
     ``graph.clique_number`` and ``graph.maximum_cliques``, which root one
-    branch per conjugacy class and close the enumeration under
+    local graph per conjugacy class and close the enumeration under
     conjugation."""
     if not g.num_vertices:
         return 0, (), [()]
@@ -175,8 +172,8 @@ def oracle_clique_search(g):
 
     best = sorted(gm._greedy_best(g))
     run, order = search(len(best), None)
-    if run.best:
-        best = sorted(order[i] for i in run.best)
+    if run.found:
+        best = sorted(order[i] for i in run.found[-1])
     size = len(best)
     run, order = search(size - 1, size)
     found = sorted(tuple(sorted(order[i] for i in c)) for c in run.found)

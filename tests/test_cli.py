@@ -126,13 +126,39 @@ def test_budget_exit_code(capsys, monkeypatch):
 def test_budget_progress_reaches_cli(capsys, monkeypatch):
     def trip(report, params, ctx):
         raise gm.BudgetExceeded(gm.CliqueCheckpoint(
-            "max", (4, 2, 7), (7,), (2, 4), None, ()), 3)
+            "max", (4, 2), 1, (2, 4), None, ()))
 
     monkeypatch.setitem(cli._SUITES, "lambda", trip)
     code, _, err = run_main(capsys, ["verify", "lambda"])
     assert code == 3
     assert err.strip() == ("budget exceeded: time budget exceeded after 2/3"
                            " root branches; best clique so far has 2 vertices")
+
+
+def test_mismatched_checkpoint_is_a_usage_error(capsys, monkeypatch):
+    def resume(report, params, ctx):
+        g = gm.build_graph(3, "nilpotent", center="ideal")
+        gm.clique_number(g, resume=gm.CliqueCheckpoint(
+            "max", (g.num_vertices,), 1, (0,), None, ()))
+
+    monkeypatch.setitem(cli._SUITES, "lambda", resume)
+    code, _, err = run_main(capsys, ["verify", "lambda"])
+    assert code == 2
+    assert err.strip() == "error: checkpoint does not match this graph"
+
+
+def test_import_needs_numpy_2(monkeypatch):
+    # np.bitwise_count, which degrees and the peel call, came in numpy 2.0
+    import importlib
+
+    import numpy
+
+    import invsemi
+    with monkeypatch.context() as m:
+        m.setattr(numpy, "__version__", "1.26.4")
+        with pytest.raises(ImportError, match=r"numpy>=2\.0.*1\.26\.4"):
+            importlib.reload(invsemi)
+    importlib.reload(invsemi)
 
 
 def test_verify_determinism(capsys):

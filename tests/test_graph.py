@@ -20,8 +20,7 @@ from helpers import (brute_adjacency, brute_components, brute_distance,
                      brute_eccentricity, brute_max_cliques,
                      dense_adjacency_packed, multi_source_bfs,
                      oracle_clique_search, oracle_core_mask, oracle_decode,
-                     oracle_degrees, oracle_greedy_from,
-                     oracle_relabel_order)
+                     oracle_degrees, oracle_greedy_from)
 
 
 def graph_elements(g):
@@ -318,32 +317,21 @@ def family_sweep():
 
 
 def test_class_counts_match_row_oracles():
-    # degrees, the k-core peel and the relabel order read one row per
-    # class; the row-level oracles read every row.  The relabel order puts
-    # each class in one run, whose first position is a clique root.
+    # degrees and the k-core peel read one row per class; the row-level
+    # oracles read every row
     for h in family_sweep():
         degs = oracle_degrees(h)
         assert h.degrees().tolist() == degs.tolist()
         omega, _ = gm.clique_number(h)
         top = int(degs.max(initial=0))
-        cores = {}
+        every = np.ones(len(h.reps), dtype=bool)
         for min_deg in {0, 1, 5, omega - 1, top, top + 1}:
-            keep = gm._core_mask(h, min_deg)
-            core = keep[h.inverse]
-            assert core.tolist() == \
-                oracle_core_mask(h.packed, min_deg).tolist()
-            cores[keep.tobytes()] = keep, core
-        # equal cores have equal orders; relabel each core once
-        for keep, core in cores.values():
-            _, order, starts = gm._relabeled_rows(h, keep)
-            assert order == tuple(
-                oracle_relabel_order(h.packed, core, h.inverse).tolist())
-            cls = h.inverse[list(order)].tolist()
-            bounds = (*starts, len(order))
-            runs = [cls[a:b] for a, b in zip(bounds, bounds[1:])]
-            assert all(run == run[:1] * len(run) for run in runs)
-            assert sorted(run[0] for run in runs) == \
-                np.flatnonzero(keep).tolist()
+            keep, kept_degs = gm._peel(h, every, min_deg)
+            core = oracle_core_mask(h.packed, min_deg)
+            assert keep[h.inverse].tolist() == core.tolist()
+            words = pack_bool_rows(core[None, :], len(core))[0]
+            want = np.bitwise_count(h.packed[core] & words).sum(axis=1)
+            assert kept_degs[h.inverse][core].tolist() == want.tolist()
 
 
 def test_adjacency_kernel_full_n6(full_graphs, monkeypatch):
@@ -682,10 +670,10 @@ def test_maximum_cliques_rejects_a_non_clique():
     mat[0, 1] = mat[1, 0] = False
     g = dense_graph(mat, "k5-minus-edge")
     assert gm.maximum_cliques(g) == [(0, 2, 3, 4), (1, 2, 3, 4)]
-    order = gm._phase_rows(g, None, 3)[1]
 
     def enum_checkpoint(clique):
-        return gm.CliqueCheckpoint("enum", order, (), (), 4, (clique,))
+        return gm.CliqueCheckpoint("enum", tuple(g.reps.tolist()), 0, (), 4,
+                                   (clique,))
 
     good = (0, 2, 3, 4)
     assert gm.maximum_cliques(g, resume=enum_checkpoint(good)) == [good]
@@ -823,16 +811,74 @@ def resume_to_end(call, max_trips):
 def test_zero_budget_resume_makes_progress():
     # Both phases have a root branch on the random graph that outlasts any
     # zero budget; the nilpotents of I(6) have a root per class.  The
-    # chains end at the every-vertex-root oracle's results.
+    # chains end at the every-vertex-root oracle's results; the witness is
+    # the first better clique of the search's own order, one of the
+    # oracle's maximum cliques.
     for g in (synthetic_graph(160, 0.65, seed=42),
               gm.build_graph(6, "nilpotent", center="ideal")):
-        size, wit, cliques = oracle_clique_search(g)
+        size, _, cliques = oracle_clique_search(g)
         max_trips = len(g.reps) + 1
-        assert resume_to_end(lambda ckpt: gm.clique_number(
-            g, budget_seconds=0, resume=ckpt), max_trips) == (size, wit)
+        got, wit = resume_to_end(lambda ckpt: gm.clique_number(
+            g, budget_seconds=0, resume=ckpt), max_trips)
+        assert got == size and wit in cliques
         # a run of both phases resumes from a checkpoint of either
         assert resume_to_end(lambda ckpt: gm.maximum_cliques(
             g, budget_seconds=0, resume=ckpt), 2 * max_trips) == cliques
+
+
+def test_zero_budget_resume_is_exact(monkeypatch):
+    # A chain of budget-0 calls roots one representative per call, the
+    # representatives of one unbudgeted call in its order, phase by phase,
+    # and ends at its result, witness included.
+    calls = []
+    search = gm._search_roots
+
+    def recorded(*args):
+        try:
+            found, rooted = search(*args)
+        except gm.BudgetExceeded as exc:
+            calls.append((list(exc.checkpoint.rooted), exc.checkpoint.left))
+            raise
+        calls.append((rooted, 0))
+        return found, rooted
+
+    monkeypatch.setattr(gm, "_search_roots", recorded)
+    for g in (gm.build_graph(6, "nilpotent", center="ideal"),
+              synthetic_graph(160, 0.65, seed=42)):
+        for call in (gm.clique_number, gm.maximum_cliques):
+            calls.clear()
+            whole = call(g)
+            orders = [rooted for rooted, _ in calls]
+            calls.clear()
+            assert resume_to_end(lambda ckpt: call(
+                g, budget_seconds=0, resume=ckpt), 2 * len(g.reps)) == whole
+            phases, cur = [], []
+            for rooted, left in calls:
+                cur.append(rooted)
+                if not left:
+                    phases.append(cur)
+                    cur = []
+            assert [phase[-1] for phase in phases] == orders
+            assert all(len(rooted) == k + 1 for phase in phases
+                       for k, rooted in enumerate(phase))
+
+
+def test_checkpoint_of_another_graph_is_rejected():
+    # the rooted vertices of a checkpoint must be this graph's class
+    # representatives: not past its last vertex, nor a class member other
+    # than its class's representative
+    g = gm.build_graph(4, "nilpotent", center="ideal")
+    member = int(np.flatnonzero(g.reps[g.inverse] != np.arange(
+        g.num_vertices))[0])
+    for rooted in ((g.num_vertices,), (member,)):
+        for call, ckpt in (
+                (gm.clique_number,
+                 gm.CliqueCheckpoint("max", rooted, 1, (0,), None, ())),
+                (gm.maximum_cliques,
+                 gm.CliqueCheckpoint("enum", rooted, 1, (), 2, ()))):
+            with pytest.raises(ValueError,
+                               match="checkpoint does not match this graph"):
+                call(g, resume=ckpt)
 
 
 def test_both_clique_phases_share_one_deadline(monkeypatch):
@@ -853,7 +899,7 @@ def test_both_clique_phases_share_one_deadline(monkeypatch):
         gm.maximum_cliques(g, budget_seconds=5.0)
     ckpt = exc.value.checkpoint
     assert ckpt.phase == "enum"
-    assert len(ckpt.order) - len(ckpt.roots_remaining) == 1
+    assert len(ckpt.rooted) == 1
     assert gm.maximum_cliques(g, resume=ckpt) == gm.maximum_cliques(g)
     # the extremal search runs both phases under its one budget too
     with pytest.raises(gm.BudgetExceeded) as exc:
@@ -862,45 +908,35 @@ def test_both_clique_phases_share_one_deadline(monkeypatch):
 
 
 def test_budget_message_reports_progress():
+    # done/total counts the root branches done and the classes still in
+    # the core when the budget ran out, all read from the checkpoint
     assert str(gm.BudgetExceeded(None)) == "time budget exceeded"
-    g = synthetic_graph(120, 0.6, seed=11)
-    size, _ = gm.clique_number(g)
-    with pytest.raises(gm.BudgetExceeded) as exc:
-        gm.clique_number(g, budget_seconds=0)
-    ckpt = exc.value.checkpoint
-    total = len(ckpt.order)
-    done = total - len(ckpt.roots_remaining)
-    assert 1 <= done < total
-    assert str(exc.value) == (
-        f"time budget exceeded after {done}/{total} root branches;"
-        f" best clique so far has {len(ckpt.best)} vertices")
-    ckpt = None
-    while ckpt is None or ckpt.phase == "max":
+    bare = gm.CliqueCheckpoint("enum", (3, 0), 4, (), 5, ((0, 1, 2, 3, 4),))
+    assert str(gm.BudgetExceeded(bare)) == (
+        "time budget exceeded after 2/6 root branches;"
+        " 1 cliques of size 5 found so far")
+
+    def first_enum_trip(g):
+        ckpt = None
+        while ckpt is None or ckpt.phase == "max":
+            with pytest.raises(gm.BudgetExceeded) as exc:
+                gm.maximum_cliques(g, budget_seconds=0, resume=ckpt)
+            ckpt = exc.value.checkpoint
+        return str(exc.value)
+
+    # every vertex of the random graph is its own class and in the core;
+    # the nilpotents of I(6) have 5 classes in the core, each rooted once
+    for g, size, total, found in (
+            (synthetic_graph(120, 0.6, seed=11), 12, 120, 1),
+            (gm.build_graph(6, "nilpotent", center="ideal"), 33, 5, 0)):
         with pytest.raises(gm.BudgetExceeded) as exc:
-            gm.maximum_cliques(g, budget_seconds=0, resume=ckpt)
-        ckpt = exc.value.checkpoint
-    assert ckpt.target == size
-    total = len(ckpt.order)
-    done = total - len(ckpt.roots_remaining)
-    assert 1 <= done < total and ckpt.found
-    assert str(exc.value) == (
-        f"time budget exceeded after {done}/{total} root branches;"
-        f" {len(ckpt.found)} cliques of size {ckpt.target} found so far")
-    # the nilpotents of I(6) have 1,170 core vertices in 5 classes, and
-    # each phase roots one branch per class
-    g = gm.build_graph(6, "nilpotent", center="ideal")
-    with pytest.raises(gm.BudgetExceeded) as exc:
-        gm.clique_number(g, budget_seconds=0)
-    assert len(exc.value.checkpoint.order) == 1170
-    assert str(exc.value) == ("time budget exceeded after 1/5 root branches;"
-                              " best clique so far has 33 vertices")
-    ckpt = None
-    while ckpt is None or ckpt.phase == "max":
-        with pytest.raises(gm.BudgetExceeded) as exc:
-            gm.maximum_cliques(g, budget_seconds=0, resume=ckpt)
-        ckpt = exc.value.checkpoint
-    assert str(exc.value) == ("time budget exceeded after 1/5 root branches;"
-                              " 6 cliques of size 33 found so far")
+            gm.clique_number(g, budget_seconds=0)
+        assert str(exc.value) == (
+            f"time budget exceeded after 1/{total} root branches;"
+            f" best clique so far has {size} vertices")
+        assert first_enum_trip(g) == (
+            f"time budget exceeded after 1/{total} root branches;"
+            f" {found} cliques of size {size} found so far")
 
 
 # -- persistence and exports -------------------------------------------------------
