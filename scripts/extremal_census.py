@@ -9,10 +9,10 @@ Usage:
     python3 scripts/extremal_census.py [--min 3] [--max 6] [--list]
                                        [--budget-seconds S]
 
-The search is exact.  Its clique search roots one branch per conjugacy
-class and closes the maximum cliques it finds under conjugation; n=7
-took 4.7 seconds in each of two runs on one core of a 2-vCPU Xeon VM,
-against 7.4 and 8.2 seconds with one root per vertex on the same VM.
+The search is exact.  Its clique search roots one local graph per
+conjugacy class and closes the maximum cliques it finds under
+conjugation; ``max_commutative_nilpotent(7)`` took 2.4 to 2.5 seconds
+in-process in two runs on one core of a 2-vCPU Xeon VM.
 """
 
 import argparse

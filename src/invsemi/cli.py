@@ -261,6 +261,16 @@ def _suite_lambda(s: SuiteReport, p: dict, ctx: CliContext):
             lambda: all(construct.balanced_null_order(2 * m - 1)
                         == construct.count_elements(m, "nilpotent")
                         for m in range(2, (max_n + 1) // 2 + 1)))
+    if max_n >= 10:
+        sg = construct.null_semigroup(range(5), range(5, 10))
+        s.check("the nonzero elements of a balanced null semigroup at n=10"
+                " pairwise commute and none is central", "clique-bound",
+                DERIVED, LAMBDA_TABLE[10] - 1, lambda: sum(
+                    not (e.is_zero() or e.is_identity()) for e in sg)
+                if sg.is_null() else None)
+        s.check("lambda_n - 1 > 2^n - 2 at exactly n=10 and 11 of the table",
+                "clique-range", DERIVED, [10, 11],
+                [m for m, lam in LAMBDA_TABLE.items() if lam - 1 > 2**m - 2])
 
 
 def _suite_balanced_null(s: SuiteReport, p: dict, ctx: CliContext):

@@ -322,10 +322,9 @@ def max_commutative_nilpotent(n: int, budget_seconds=None) -> ExtremalReport:
     zero = PInj.zero(n)
     witnesses = []
     for idx in cliques:
-        elems = [g.vertex_element(i) for i in idx] + [zero]
-        sg = SemigroupSet.from_elements(n, elems)
-        cl = closure(list(sg), n)
-        if not (len(cl) == len(sg) and cl == sg):
+        # distinct elements, so closed exactly when the closure adds none
+        sg = closure([g.vertex_element(i) for i in idx] + [zero], n)
+        if len(sg) != len(idx) + 1:
             raise AssertionError("maximum clique is not product-closed")
         witnesses.append(sg)
     witnesses.sort(key=lambda s: s.ids)

@@ -7,13 +7,13 @@ over Python-int rows (word-parallel OR).  The clique solver seeds with one
 greedy clique per class representative, each a walk over its start's
 neighbours only, then proves optimality by branch-and-bound with greedy
 coloring bounds (Tomita & Seki's MCQ) on one small local graph per class
-root, rooting the classes of least degree first (a degeneracy order, as
-in Eppstein, Löffler & Strash) and peeling whole classes in numpy in
-between.  A graph keeps the conjugacy classes and the two conjugation
-maps its build found (conjugation is a graph automorphism): degrees, the
-peel, the greedy starts, the clique roots and the BFS sources read one
-row per class, and the enumerated maximum cliques are closed under the
-maps.
+root.  Each phase peels whole classes in numpy once, then roots the
+surviving classes in one fixed order, least degree first (a one-pass
+stand-in for the degeneracy order of Eppstein, Löffler & Strash).  A
+graph keeps the conjugacy classes and the two conjugation maps its build
+found (conjugation is a graph automorphism): degrees, the peel, the
+greedy starts, the clique roots and the BFS sources read one row per
+class, and the enumerated maximum cliques are closed under the maps.
 
 Everything here is deterministic: vertex order is ID order, path
 reconstruction always picks the lowest-index predecessor, and clique
@@ -80,12 +80,12 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, checkpoint):
         msg = "time budget exceeded"
         if checkpoint is not None:
-            done = len(checkpoint.rooted)
+            done, found = len(checkpoint.rooted), checkpoint.found
             msg += f" after {done}/{done + checkpoint.left} root branches; "
             if checkpoint.phase == "max":
-                msg += f"best clique so far has {len(checkpoint.best)} vertices"
+                msg += f"best clique so far has {len(found[-1])} vertices"
             else:
-                msg += (f"{len(checkpoint.found)} cliques of size"
+                msg += (f"{len(found)} cliques of size"
                         f" {checkpoint.target} found so far")
         super().__init__(msg)
         self.checkpoint = checkpoint
@@ -96,18 +96,22 @@ class CliqueCheckpoint:
     """Resumable state of a clique phase, at root-branch granularity.
 
     ``rooted`` are the class representatives whose root branches are
-    done, in order, and ``left`` counts the classes still in the core
-    when the budget ran out.  ``best``/``found`` hold vertex indices;
-    ``found`` holds the cliques the root branches found, before
-    ``maximum_cliques`` closes them under conjugation.
+    done, a prefix of the phase's root order, and ``left`` counts the
+    roots of that order not yet done.  ``found`` holds vertex-index
+    cliques: in the ``clique_number`` phase (``target`` None) the seed
+    and then each better clique, in the enumeration the cliques of
+    ``target`` vertices found, before ``maximum_cliques`` closes them
+    under conjugation.
     """
 
-    phase: str
     rooted: tuple
     left: int
-    best: tuple
     target: int | None
     found: tuple
+
+    @property
+    def phase(self) -> str:
+        return "max" if self.target is None else "enum"
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,7 @@ class CommutingGraph:
 
     def degrees(self) -> np.ndarray:
         """Per-vertex degree, counted on the representative rows."""
-        every = np.ones(len(self.reps), dtype=bool)
-        return _peel(self, every, 0)[1][self.inverse]
+        return _peel(self, 0)[1][self.inverse]
 
     def num_edges(self) -> int:
         return int(self.degrees().sum()) // 2
@@ -401,23 +404,23 @@ def diameter(g: CommutingGraph) -> DistanceResult:
 # -- exact maximum clique -------------------------------------------------------
 
 
-def _peel(g: CommutingGraph, keep: np.ndarray, floor: int):
-    """Iterated peel of the classes ``keep`` (a bool mask over ``g.reps``):
-    drop whole classes with fewer than ``floor`` kept neighbours until none
-    is left.  Returns the kept classes and their degrees among them (0 for
-    the others); they hold every clique above ``floor`` inside ``keep``.
-    A class's degree is counted on its representative's row, which is
-    exact for every member: the kept vertices are a union of classes,
-    which conjugation maps onto itself."""
+def _peel(g: CommutingGraph, floor: int):
+    """Iterated peel of the classes: drop whole classes with fewer than
+    ``floor`` kept neighbours until none is left.  Returns the kept
+    classes (a bool mask over ``g.reps``) and their degrees among them (0
+    for the others); they hold every clique above ``floor``.  A class's
+    degree is counted on its representative's row, which is exact for
+    every member: the kept vertices are a union of classes, which
+    conjugation maps onto itself."""
+    keep = np.ones(len(g.reps), dtype=bool)
     while True:
         alive = pack_bool_rows(keep[g.inverse][None, :], g.num_vertices)[0]
         degs = np.zeros(len(keep), dtype=np.int64)
         degs[keep] = np.bitwise_count(g.packed[g.reps[keep]]
                                       & alive).sum(axis=1)
-        drop = keep & (degs < floor)
-        if not drop.any():
+        if (degs[keep] >= floor).all():
             return keep, degs
-        keep = keep & ~drop
+        keep = keep & (degs >= floor)
 
 
 def _greedy_from(rows, degs, start):
@@ -516,51 +519,49 @@ class _OutOfTime(Exception):
 
 def _search_roots(g, found, target, resume, deadline):
     """One clique phase: each clique above the floor as it raises it
-    (``target`` None; ``found`` ends with the best so far), or every
-    clique of ``target`` vertices, appended to ``found``.  Peel whole
-    classes at the floor, search the local graph (r and its surviving
-    neighbours) of the surviving class of least degree at its
-    representative r, drop the class and repeat until none survives.
-    Exact: a clique above the floor survives until its first class is
-    rooted, and the survivors are a union of classes, so the clique's
-    conjugate through r lies in r's local graph.  The survivors are the
-    floor's core of the classes not yet rooted, so a ``resume`` needs only
-    the representatives rooted before.  Returns ``found`` and the
-    representatives rooted.  The first root always runs to the end; the
-    clock is read before each later root and every 2048 nodes inside one,
-    and a budget overrun drops the unfinished root's finds.
+    (``target`` None; ``found`` starts with the seed and ends with the
+    best), or every clique of ``target`` vertices, appended to ``found``.
+    Peel whole classes once, at the phase's first floor, then root the
+    surviving classes in one order, least degree first, lowest
+    representative on ties: search the local graph of each class's
+    representative r, which is r and its neighbours in r's class and the
+    classes after it.  Exact: the floor only rises, so a clique above it
+    survives the peel; conjugate it so that its member in its first
+    rooted class is r, and the rest lies in r's local graph.  A
+    ``resume`` recomputes the order and skips the representatives rooted
+    before.  Returns ``found`` and the order.  The first root always runs
+    to the end; the clock is read before each later root and every 2048
+    nodes inside one, and a budget overrun drops the unfinished root's
+    finds.
     """
-    floor = len(found[-1]) if target is None else target - 1
+    first = len(found[0]) if target is None else target - 1
+    keep, degs = _peel(g, first)
+    order = g.reps[keep][np.argsort(degs[keep], kind="stable")].tolist()
     rooted = [] if resume is None else [int(r) for r in resume.rooted]
-    at = np.searchsorted(g.reps, rooted)
-    if not np.array_equal(g.reps[np.minimum(at, len(g.reps) - 1)], rooted):
+    if order[:len(rooted)] != rooted:
         raise ValueError("checkpoint does not match this graph")
-    keep = np.ones(len(g.reps), dtype=bool)
-    keep[at] = False
-    keep, degs_of = _peel(g, keep, floor)
-    # Positions below are in the core, gathered once.  Class members share
-    # a degree, so the first of least degree is a representative.  A
-    # dropped vertex's degree is set to ``done``, above the core size.
+    floor = len(found[-1]) if target is None else first
+    # the core's rows, gathered once; root k's local graph keeps places >= k
     core = np.flatnonzero(keep[g.inverse])
     rows = gather_packed(g.packed, core, core)
-    cls, done = g.inverse[core], np.iinfo(np.int64).max
-    degs = np.full(rows.shape[1] * 64, done)  # one per bit of a row
-    degs[:len(core)] = degs_of[cls]
-    left, late = int(keep.sum()), None
+    place = np.empty(len(g.reps), dtype=np.int64)
+    place[g.inverse[order]] = np.arange(len(order))
+    place = place[g.inverse[core]]
+    late = None
     try:
-        while left:
+        for k in range(len(rooted), len(order)):
             if late is not None and time.perf_counter() > late:
                 raise _OutOfTime()
-            r = int(np.argmin(degs))
-            nbrs = rows[r] & np.packbits(degs <= len(core),
-                                         bitorder="little").view(np.uint64)
+            at = int(np.searchsorted(core, order[k]))
+            nbrs = rows[at] & pack_bool_rows((place >= k)[None, :],
+                                             len(core))[0]
             local = np.flatnonzero(np.unpackbits(nbrs.view(np.uint8),
                                                  bitorder="little"))
             # the other members of a clique above the floor through r have
             # ``floor - 1`` or more neighbours among r's: skip r if too few
             if (np.bitwise_count(rows[local] & nbrs).sum(axis=1)
                     >= floor - 1).sum() >= floor:
-                local = np.concatenate(([r], local))
+                local = np.concatenate(([at], local))
                 block = gather_packed(rows, local, local)
                 run = _CliqueRun([int.from_bytes(row.tobytes(), "little")
                                   for row in block], floor, target)
@@ -569,24 +570,11 @@ def _search_roots(g, found, target, resume, deadline):
                 found += [tuple(sorted(core[local[list(clique)]].tolist()))
                           for clique in run.found]
                 floor = run.floor
-            rooted.append(int(core[r]))
-            gone = np.flatnonzero(cls == cls[r])
-            while len(gone):
-                # each vertex loses its dropped neighbours, 64 rows at a time
-                left -= len(np.unique(cls[gone]))
-                degs[gone] = done
-                for s in range(0, len(gone), 64):
-                    bits = rows[gone[s:s + 64]].view(np.uint8)
-                    degs -= np.unpackbits(bits, axis=1, bitorder="little"
-                                          ).sum(0, dtype=int)
-                gone = np.flatnonzero(degs < floor)
             late = deadline
     except _OutOfTime:
-        best, finds = (found[-1], ()) if target is None else ((), found)
         raise BudgetExceeded(CliqueCheckpoint(
-            "max" if target is None else "enum", tuple(rooted), left,
-            tuple(best), target, tuple(sorted(finds)))) from None
-    return found, rooted
+            tuple(order[:k]), len(order) - k, target, tuple(found))) from None
+    return found, order
 
 
 def _conjugates(maps, cliques):
@@ -623,11 +611,12 @@ def clique_number(g: CommutingGraph, budget_seconds=None,
         return 0, ()
     deadline = (time.perf_counter() + budget_seconds
                 if budget_seconds is not None else None)
-    if resume is not None and resume.phase != "max":
+    if resume is not None and (resume.phase != "max" or not resume.found):
         raise ValueError("checkpoint is not from a clique_number run")
-    best = sorted(_greedy_best(g) if resume is None else resume.best)
-    best = _search_roots(g, [best], None, resume, deadline)[0][-1]
-    return len(best), tuple(best)
+    found = ([tuple(sorted(_greedy_best(g)))] if resume is None
+             else list(resume.found))
+    best = _search_roots(g, found, None, resume, deadline)[0][-1]
+    return len(best), best
 
 
 def maximum_cliques(g: CommutingGraph, budget_seconds=None,

@@ -6,7 +6,7 @@ from invsemi import graph as gm
 @pytest.fixture(scope="session")
 def full_graphs():
     """Shared full commuting graphs, built at most once per test session
-    (n=6 has 13,325 vertices and takes about a second)."""
+    (n=6 has 13,325 vertices and takes about 0.2 s)."""
     cache = {}
 
     def get(n: int) -> gm.CommutingGraph:

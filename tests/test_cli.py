@@ -126,7 +126,7 @@ def test_budget_exit_code(capsys, monkeypatch):
 def test_budget_progress_reaches_cli(capsys, monkeypatch):
     def trip(report, params, ctx):
         raise gm.BudgetExceeded(gm.CliqueCheckpoint(
-            "max", (4, 2), 1, (2, 4), None, ()))
+            (4, 2), 1, None, ((2, 4),)))
 
     monkeypatch.setitem(cli._SUITES, "lambda", trip)
     code, _, err = run_main(capsys, ["verify", "lambda"])
@@ -139,7 +139,7 @@ def test_mismatched_checkpoint_is_a_usage_error(capsys, monkeypatch):
     def resume(report, params, ctx):
         g = gm.build_graph(3, "nilpotent", center="ideal")
         gm.clique_number(g, resume=gm.CliqueCheckpoint(
-            "max", (g.num_vertices,), 1, (0,), None, ()))
+            (g.num_vertices,), 1, None, ((0,),)))
 
     monkeypatch.setitem(cli._SUITES, "lambda", resume)
     code, _, err = run_main(capsys, ["verify", "lambda"])

@@ -324,9 +324,8 @@ def test_class_counts_match_row_oracles():
         assert h.degrees().tolist() == degs.tolist()
         omega, _ = gm.clique_number(h)
         top = int(degs.max(initial=0))
-        every = np.ones(len(h.reps), dtype=bool)
         for min_deg in {0, 1, 5, omega - 1, top, top + 1}:
-            keep, kept_degs = gm._peel(h, every, min_deg)
+            keep, kept_degs = gm._peel(h, min_deg)
             core = oracle_core_mask(h.packed, min_deg)
             assert keep[h.inverse].tolist() == core.tolist()
             words = pack_bool_rows(core[None, :], len(core))[0]
@@ -672,8 +671,7 @@ def test_maximum_cliques_rejects_a_non_clique():
     assert gm.maximum_cliques(g) == [(0, 2, 3, 4), (1, 2, 3, 4)]
 
     def enum_checkpoint(clique):
-        return gm.CliqueCheckpoint("enum", tuple(g.reps.tolist()), 0, (), 4,
-                                   (clique,))
+        return gm.CliqueCheckpoint(tuple(g.reps.tolist()), 0, 4, (clique,))
 
     good = (0, 2, 3, 4)
     assert gm.maximum_cliques(g, resume=enum_checkpoint(good)) == [good]
@@ -864,21 +862,32 @@ def test_zero_budget_resume_is_exact(monkeypatch):
 
 
 def test_checkpoint_of_another_graph_is_rejected():
-    # the rooted vertices of a checkpoint must be this graph's class
-    # representatives: not past its last vertex, nor a class member other
-    # than its class's representative
+    # the rooted vertices of a checkpoint must be a prefix of the phase's
+    # root order: not past the graph's last vertex, nor a class member
+    # other than its class's representative, nor two representatives in
+    # the reverse of that order (least core degree first, then lowest)
     g = gm.build_graph(4, "nilpotent", center="ideal")
     member = int(np.flatnonzero(g.reps[g.inverse] != np.arange(
         g.num_vertices))[0])
-    for rooted in ((g.num_vertices,), (member,)):
+    core = oracle_core_mask(g.packed, 1)
+    words = pack_bool_rows(core[None, :], len(core))[0]
+    degs = np.bitwise_count(g.packed & words).sum(axis=1)
+    reps = [int(r) for r in g.reps if core[r]]
+    first, second = sorted(reps, key=lambda r: (degs[r], r))[:2]
+    for rooted in ((g.num_vertices,), (member,), (second, first)):
         for call, ckpt in (
                 (gm.clique_number,
-                 gm.CliqueCheckpoint("max", rooted, 1, (0,), None, ())),
+                 gm.CliqueCheckpoint(rooted, 1, None, ((0,),))),
                 (gm.maximum_cliques,
-                 gm.CliqueCheckpoint("enum", rooted, 1, (), 2, ()))):
+                 gm.CliqueCheckpoint(rooted, 1, 2, ()))):
             with pytest.raises(ValueError,
                                match="checkpoint does not match this graph"):
                 call(g, resume=ckpt)
+    # a clique_number checkpoint holds at least the seed
+    for ckpt in (gm.CliqueCheckpoint((), 1, None, ()),
+                 gm.CliqueCheckpoint((), 1, 2, ())):
+        with pytest.raises(ValueError, match="not from a clique_number run"):
+            gm.clique_number(g, resume=ckpt)
 
 
 def test_both_clique_phases_share_one_deadline(monkeypatch):
@@ -911,7 +920,7 @@ def test_budget_message_reports_progress():
     # done/total counts the root branches done and the classes still in
     # the core when the budget ran out, all read from the checkpoint
     assert str(gm.BudgetExceeded(None)) == "time budget exceeded"
-    bare = gm.CliqueCheckpoint("enum", (3, 0), 4, (), 5, ((0, 1, 2, 3, 4),))
+    bare = gm.CliqueCheckpoint((3, 0), 4, 5, ((0, 1, 2, 3, 4),))
     assert str(gm.BudgetExceeded(bare)) == (
         "time budget exceeded after 2/6 root branches;"
         " 1 cliques of size 5 found so far")
