@@ -7,13 +7,13 @@ over Python-int rows (word-parallel OR).  The clique solver seeds with one
 greedy clique per class representative, each a walk over its start's
 neighbours only, then proves optimality by branch-and-bound with greedy
 coloring bounds (Tomita & Seki's MCQ) on one small local graph per class
-root.  Each phase peels whole classes in numpy once, then roots the
-surviving classes in one fixed order, least degree first (a one-pass
-stand-in for the degeneracy order of Eppstein, Löffler & Strash).  A
-graph keeps the conjugacy classes and the two conjugation maps its build
-found (conjugation is a graph automorphism): degrees, the peel, the
-greedy starts, the clique roots and the BFS sources read one row per
-class, and the enumerated maximum cliques are closed under the maps.
+root, read from the packed matrix.  Each phase peels whole classes once,
+then roots the survivors in one order, least degree first (a stand-in for
+the degeneracy order of Eppstein, Löffler & Strash).  A graph keeps the
+conjugacy classes and the two conjugation maps its build found
+(conjugation is a graph automorphism): degrees, the peel, the greedy
+starts, the clique roots and the BFS sources read one row per class, and
+the enumerated maximum cliques are closed under the maps.
 
 Everything here is deterministic: vertex order is ID order, path
 reconstruction always picks the lowest-index predecessor, and clique
@@ -499,7 +499,7 @@ class _CliqueRun:
                 if self.target is None:
                     self.floor = len(cur)
                 elif len(cur) > self.target:
-                    raise AssertionError("target below true clique number")
+                    raise ValueError("checkpoint does not match this graph")
                 self.found.append(tuple(cur))
             return
         order, colors = _color_sort(p_mask, self.rows)
@@ -520,19 +520,19 @@ class _OutOfTime(Exception):
 def _search_roots(g, found, target, resume, deadline):
     """One clique phase: each clique above the floor as it raises it
     (``target`` None; ``found`` starts with the seed and ends with the
-    best), or every clique of ``target`` vertices, appended to ``found``.
-    Peel whole classes once, at the phase's first floor, then root the
-    surviving classes in one order, least degree first, lowest
-    representative on ties: search the local graph of each class's
-    representative r, which is r and its neighbours in r's class and the
-    classes after it.  Exact: the floor only rises, so a clique above it
-    survives the peel; conjugate it so that its member in its first
-    rooted class is r, and the rest lies in r's local graph.  A
-    ``resume`` recomputes the order and skips the representatives rooted
-    before.  Returns ``found`` and the order.  The first root always runs
-    to the end; the clock is read before each later root and every 2048
-    nodes inside one, and a budget overrun drops the unfinished root's
-    finds.
+    best), or every clique of ``target`` vertices, appended to
+    ``found``.  Peel whole classes once, at the phase's first floor,
+    then root the surviving classes in one order, least degree first,
+    lowest representative on ties: search the local graph of each
+    class's representative r, which is r and its neighbours in r's class
+    and the classes after it, gathered from the packed matrix.  Exact:
+    the floor only rises, so a clique above it survives the peel;
+    conjugate it so that its member in its first rooted class is r, and
+    the rest lies in r's local graph.  A ``resume`` recomputes the order
+    and skips the representatives rooted before.  Returns ``found`` and
+    the order.  The first root always runs to the end; the clock is read
+    before each later root and every 2048 nodes inside one, and a budget
+    overrun drops the unfinished root's finds.
     """
     first = len(found[0]) if target is None else target - 1
     keep, degs = _peel(g, first)
@@ -541,33 +541,33 @@ def _search_roots(g, found, target, resume, deadline):
     if order[:len(rooted)] != rooted:
         raise ValueError("checkpoint does not match this graph")
     floor = len(found[-1]) if target is None else first
-    # the core's rows, gathered once; root k's local graph keeps places >= k
-    core = np.flatnonzero(keep[g.inverse])
-    rows = gather_packed(g.packed, core, core)
-    place = np.empty(len(g.reps), dtype=np.int64)
+    # each vertex's class place in the order (-1: peeled), padded to words
+    place = np.full(len(g.reps), -1)
     place[g.inverse[order]] = np.arange(len(order))
-    place = place[g.inverse[core]]
+    place = np.pad(place[g.inverse], (0, -len(g.ids) % 64), constant_values=-1)
     late = None
     try:
         for k in range(len(rooted), len(order)):
             if late is not None and time.perf_counter() > late:
                 raise _OutOfTime()
-            at = int(np.searchsorted(core, order[k]))
-            nbrs = rows[at] & pack_bool_rows((place >= k)[None, :],
-                                             len(core))[0]
-            local = np.flatnonzero(np.unpackbits(nbrs.view(np.uint8),
-                                                 bitorder="little"))
+            r = order[k]
+            nbrs = g.packed[r] & np.packbits(
+                place >= k, bitorder="little").view(np.uint64)
+            words = np.flatnonzero(nbrs)
+            word, bit = np.nonzero(np.unpackbits(
+                nbrs[words].view(np.uint8), bitorder="little").reshape(-1, 64))
+            local = words[word] * 64 + bit
             # the other members of a clique above the floor through r have
             # ``floor - 1`` or more neighbours among r's: skip r if too few
-            if (np.bitwise_count(rows[local] & nbrs).sum(axis=1)
+            if (np.bitwise_count(g.packed[local] & nbrs).sum(axis=1)
                     >= floor - 1).sum() >= floor:
-                local = np.concatenate(([at], local))
-                block = gather_packed(rows, local, local)
+                local = np.concatenate(([r], local))
+                block = gather_packed(g.packed, local, local)
                 run = _CliqueRun([int.from_bytes(row.tobytes(), "little")
                                   for row in block], floor, target)
                 run.deadline = late
                 run.expand([0], run.rows[0])
-                found += [tuple(sorted(core[local[list(clique)]].tolist()))
+                found += [tuple(sorted(local[list(clique)].tolist()))
                           for clique in run.found]
                 floor = run.floor
             late = deadline

@@ -781,6 +781,22 @@ def test_class_roots_match_every_vertex_roots():
                                          brute=nv <= 120)
 
 
+def test_clique_search_gathers_only_local_graphs(monkeypatch):
+    # Each root reads its local graph from the packed matrix: on the
+    # nilpotents of I(6) no gather holds more than one root and the largest
+    # root neighbourhood, 58 vertices, let alone the 1,170-vertex core.
+    g = gm.build_graph(6, "nilpotent", center="ideal")
+    sizes = []
+
+    def gather(packed, rows, cols):
+        sizes.append(len(rows))
+        return _bulk.gather_packed(packed, rows, cols)
+
+    monkeypatch.setattr(gm, "gather_packed", gather)
+    gm.maximum_cliques(g)
+    assert sizes and max(sizes) <= 59
+
+
 def test_budget_trips_and_resume_completes():
     g = synthetic_graph(300, 0.6, seed=42)
     full_size, _ = gm.clique_number(g)
@@ -883,6 +899,11 @@ def test_checkpoint_of_another_graph_is_rejected():
             with pytest.raises(ValueError,
                                match="checkpoint does not match this graph"):
                 call(g, resume=ckpt)
+    # an enumeration checkpoint whose target is below the clique number,
+    # 6 here, meets a larger clique
+    with pytest.raises(ValueError,
+                       match="checkpoint does not match this graph"):
+        gm.maximum_cliques(g, resume=gm.CliqueCheckpoint((), 1, 2, ()))
     # a clique_number checkpoint holds at least the seed
     for ckpt in (gm.CliqueCheckpoint((), 1, None, ()),
                  gm.CliqueCheckpoint((), 1, 2, ())):
