@@ -191,17 +191,33 @@ def iter_matrix_chunks(n: int, filt: str = "all", max_rank=None):
     ``filt`` is one of all | idempotent | permutation | nilpotent and
     ``max_rank`` cuts the enumeration to an ideal.  Each block decodes IDs
     as options of the identity's centralizer (``monoid_decoder``, n <= 10),
-    then filters.  Bad arguments raise ``ValueError`` before any row.
+    then filters; idempotents are built directly, one block per rank.  Bad
+    arguments raise ``ValueError`` before any row.
     """
     parts = monoid_decoder(n)
     if filt not in _FILTERS:
         raise ValueError(f"unknown filter {filt!r}")
     bounds = np.cumsum([0] + stratum_sizes(n))
     top = n if max_rank is None else min(max_rank, n)
+    if filt == "idempotent":
+        return _partial_identities(n, bounds, top)
     start = int(bounds[n if filt == "permutation" else 0])
     chunks = decode_chunks(n, parts, start, int(bounds[max(top + 1, 0)]))
     return ((lo + np.flatnonzero(keep), m[keep]) for lo, m in chunks
             for keep in (_filter_mask(m, n, filt),))
+
+
+def _partial_identities(n: int, bounds: np.ndarray, top: int):
+    """(ids, matrix) per rank r <= top of the identities on the r-subsets
+    D, lexicographic: D is domain and image, with the identity bijection,
+    so the ID is bounds[r] + (rank(D)·C(n,r) + rank(D))·r!."""
+    for r in range(top + 1):
+        count = math.comb(n, r)
+        dom = np.array(list(itertools.combinations(range(n), r)),
+                       np.int8).reshape(count, r)
+        m = np.full((count, n), n, dtype=np.int8)
+        np.put(m, np.arange(count)[:, None] * n + dom, dom)
+        yield bounds[r] + (count + 1) * math.factorial(r) * np.arange(count), m
 
 
 def elements_matrix(n: int, filt: str = "all", max_rank=None):

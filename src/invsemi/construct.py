@@ -304,7 +304,10 @@ class ExtremalReport:
 
 def max_commutative_nilpotent(n: int, budget_seconds=None) -> ExtremalReport:
     """Search the commuting graph on nonzero nilpotents for all maximum
-    cliques, then close each under product (the closure must not grow).
+    cliques; each, with zero added, is a witness built from the graph's
+    rows and IDs.  ``closure`` proves one clique per conjugation orbit
+    closed, which covers the orbit: conjugation by a permutation is an
+    automorphism of I(n).
 
     Exhaustive and exact at every n; the graph has 72 to 37632 vertices
     for 3 <= n <= 7.  The graph build is not budgeted: ``budget_seconds``
@@ -320,13 +323,22 @@ def max_commutative_nilpotent(n: int, budget_seconds=None) -> ExtremalReport:
     g = _graph.build_graph(n, "nilpotent", center="ideal")
     cliques = _graph.maximum_cliques(g, budget_seconds=budget_seconds)
     zero = PInj.zero(n)
+    # one int per vertex, shared by every witness that holds it
+    ids = g.ids.tolist()
+    covered = set()
     witnesses = []
     for idx in cliques:
-        # distinct elements, so closed exactly when the closure adds none
-        sg = closure([g.vertex_element(i) for i in idx] + [zero], n)
-        if len(sg) != len(idx) + 1:
-            raise AssertionError("maximum clique is not product-closed")
-        witnesses.append(sg)
-    witnesses.sort(key=lambda s: s.ids)
+        elements = [zero] + [g.vertex_element(i) for i in idx]
+        if idx not in covered:
+            # distinct elements, so closed exactly when the closure adds none
+            if len(closure(elements, n)) != len(elements):
+                raise AssertionError("maximum clique is not product-closed")
+            covered.update(_graph._conjugates(g.maps, [idx]))
+        # zero has ID 0 and the vertex IDs ascend with the index, so these
+        # are ID-sorted, and so is the list, as the cliques are sorted
+        witnesses.append(SemigroupSet(n, elements,
+                                      [0] + [ids[i] for i in idx]))
+    if covered != set(cliques):
+        raise AssertionError("conjugation orbits do not cover the cliques")
     return ExtremalReport(n, len(cliques[0]) + 1, len(witnesses),
                           tuple(witnesses), time.perf_counter() - t0)

@@ -12,7 +12,7 @@ import numpy as np
 
 from invsemi import graph as gm
 from invsemi._bulk import _stratum_tables, gather_packed, pack_bool_rows
-from invsemi.construct import SemigroupFlags
+from invsemi.construct import ExtremalReport, SemigroupFlags, closure
 from invsemi.pinj import PInj, UNDEF, decompose
 
 
@@ -60,6 +60,26 @@ def oracle_semigroup_flags(s) -> SemigroupFlags:
     semilattice = closed and commutative and len(idems) == len(els)
     return SemigroupFlags(len(els), closed, commutative, null, nilp,
                           inverse, semilattice)
+
+
+def oracle_max_commutative_nilpotent(n):
+    """The report of ``construct.max_commutative_nilpotent(n)`` with every
+    maximum clique plus zero closed by ``construct.closure``, which builds
+    each witness with ``SemigroupSet.from_elements``: the reference for the
+    search, which closes one clique per conjugation orbit and builds the
+    witnesses from the graph's rows and IDs."""
+    g = gm.build_graph(n, "nilpotent", center="ideal")
+    cliques = gm.maximum_cliques(g)
+    zero = PInj.zero(n)
+    witnesses = []
+    for idx in cliques:
+        sg = closure([g.vertex_element(i) for i in idx] + [zero], n)
+        if len(sg) != len(idx) + 1:
+            raise AssertionError("maximum clique is not product-closed")
+        witnesses.append(sg)
+    witnesses.sort(key=lambda s: s.ids)
+    return ExtremalReport(n, len(cliques[0]) + 1, len(witnesses),
+                          tuple(witnesses))
 
 
 def oracle_products(a, b):

@@ -7,7 +7,7 @@ from dataclasses import astuple
 import pytest
 
 from invsemi import construct, graph as gm
-from invsemi._bulk import elements_matrix, iter_matrix_chunks
+from invsemi._bulk import _filter_mask, elements_matrix, iter_matrix_chunks
 from invsemi.construct import (SemigroupFlags, SemigroupSet,
                                balanced_null_order,
                                balanced_null_semigroups, classify_semigroup,
@@ -17,7 +17,7 @@ from invsemi.construct import (SemigroupFlags, SemigroupSet,
 from invsemi.pinj import (PInj, UNDEF, element_from_id, element_id,
                           format_element, monoid_order, power)
 
-from helpers import oracle_semigroup_flags
+from helpers import oracle_max_commutative_nilpotent, oracle_semigroup_flags
 
 LAMBDA = {1: 1, 2: 2, 3: 3, 4: 7, 5: 13, 6: 34, 7: 73, 8: 209, 9: 501,
           10: 1546, 11: 4051}
@@ -75,6 +75,18 @@ def test_enumerate_ascending_ids_match_matrix():
                 assert all(a < b for a, b in zip(got, got[1:]))
                 assert all(e == element_from_id(n, i) for e, i in
                            zip(enumerate_elements(n, filt, r), got))
+
+
+def test_idempotents_match_decode_then_filter():
+    # the partial identities are built directly, not filtered from I(n)
+    for n in range(8):
+        for r in (None, -1, *range(n + 2)):
+            ids, m = elements_matrix(n, "all", r)
+            keep = _filter_mask(m, n, "idempotent")
+            got_ids, got = elements_matrix(n, "idempotent", r)
+            assert got_ids.dtype == ids.dtype and got.dtype == m.dtype
+            assert got_ids.tolist() == ids[keep].tolist(), (n, r)
+            assert got.tolist() == m[keep].tolist(), (n, r)
 
 
 def test_enumerate_rejects_bad_arguments():
@@ -236,6 +248,40 @@ def test_max_commutative_nilpotent_witnesses_n3():
         cyclic.add(tuple(s.ids))
     assert len(cyclic) == 6
     assert wits == nulls | cyclic
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_max_commutative_nilpotent_matches_oracle(n):
+    rep, want = max_commutative_nilpotent(n), oracle_max_commutative_nilpotent(n)
+    assert (rep.max_order, rep.count) == (want.max_order, want.count)
+    assert [w.ids for w in rep.witnesses] == [w.ids for w in want.witnesses]
+    assert ([w.elements for w in rep.witnesses]
+            == [w.elements for w in want.witnesses])
+
+
+def conjugate(e, perm):
+    """perm·e·perm⁻¹: maps perm(x) to perm(e(x))."""
+    img = [UNDEF] * e.n
+    for x, y in enumerate(e.img):
+        if y != UNDEF:
+            img[perm[x]] = perm[y]
+    return PInj(e.n, img)
+
+
+@pytest.mark.parametrize("n,orbits", [(3, 3), (4, 1), (5, 2), (6, 1)])
+def test_extremal_closes_one_clique_per_orbit(monkeypatch, n, orbits):
+    calls = []
+    real = construct.closure
+    monkeypatch.setattr(construct, "closure",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    rep = max_commutative_nilpotent(n)
+    if n <= 5:
+        # each witness's orbit, named by its least conjugate's IDs
+        least = {min(tuple(sorted(element_id(conjugate(e, p)) for e in w))
+                     for p in itertools.permutations(range(n)))
+                 for w in rep.witnesses}
+        assert len(least) == orbits
+    assert len(calls) == orbits
 
 
 def test_extremal_guard():
