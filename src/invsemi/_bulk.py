@@ -28,9 +28,12 @@ index along one map at a time, and the pulls form a Schreier forest rooted
 at the representatives.  A graph keeps the classes and maps its build
 found, and ``adjacency_packed`` takes the forest: it compares one
 representative row per class against all rows with dense gathers, and
-builds every other row from the row it pulled from with ``gather_packed``,
-gathering the columns through that pull's map; other row sets compare
-every row densely.
+builds every other row from the row it pulled from, its columns gathered
+through that pull's map, one pull at a time: it transposes the 64×64 bit
+tiles of the source rows, so that each column of 64 rows is one word,
+gathers those words through the map and transposes back.  Other row sets
+compare every row densely.  ``gather_packed`` is the submatrix gather:
+chosen rows with chosen columns, bit by bit.
 """
 
 from __future__ import annotations
@@ -58,7 +61,15 @@ __all__ = [
 
 _MAX_MATRIX_GROUND = 10
 _FILTERS = ("all", "idempotent", "permutation", "nilpotent")
-_ADJACENCY_BLOCK = 64  # rows per dense comparison or forest fill block
+_ADJACENCY_BLOCK = 64  # rows per dense comparison or submatrix gather block
+# source bytes per forest fill chunk, in whole 64-row tiles and at least
+# one, so that a chunk's transposes run in cache
+_FILL_BYTES = 1 << 19
+# (shift, mask) of the six delta swaps that transpose a 64×64 bit tile
+_TILE_SWAPS = tuple((s, np.uint64(m)) for s, m in (
+    (32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333), (1, 0x5555555555555555)))
 
 
 def _augmented(m: np.ndarray) -> np.ndarray:
@@ -349,17 +360,59 @@ def gather_packed(packed: np.ndarray, rows: np.ndarray,
     return out
 
 
+def _transpose_tiles(x: np.ndarray) -> np.ndarray:
+    """Transpose in place each 64×64 bit tile x[t, :, w] of a uint64
+    array of shape (T, 64, W), and return x: bit j of word i of a tile
+    trades places with bit i of word j.  Six masked delta swaps, each
+    between the two halves of every run of 2s words (Warren, Hacker's
+    Delight, §7-3); the transpose is its own inverse."""
+    for s, mask in _TILE_SWAPS:
+        halves = x.reshape(len(x), 32 // s, 2, s, -1)
+        lo, hi = halves[:, :, 0], halves[:, :, 1]
+        # bits j (bit s of j clear) of ``hi`` trade with bits j + s of ``lo``
+        t = (lo >> s) ^ hi
+        t &= mask
+        hi ^= t
+        t <<= s
+        lo ^= t
+    return x
+
+
+def _fill_pull(out: np.ndarray, g: np.ndarray, new: np.ndarray) -> None:
+    """Rows ``new`` of ``out`` from their sources, already built: row u is
+    row g[u] with its columns gathered through g.  The source rows go in
+    chunks of whole 64-row tiles, about _FILL_BYTES each, the last tile
+    padded with zero rows.  A chunk is transposed, so that column c of a
+    tile is one word; one word gather through g lays the columns out as
+    the output tiles, which transpose back into rows."""
+    big_n, words = out.shape
+    # the output's padding columns read column big_n, clear in every row
+    cols = np.append(g, np.full(-big_n % 64, big_n))
+    # column c of a transposed tile is its word (c & 63)·W + (c >> 6)
+    at = ((cols & 63) * words + (cols >> 6)).reshape(words, 64).T.ravel()
+    step = 64 * max(1, _FILL_BYTES // (512 * words))
+    for s in range(0, len(new), step):
+        rows = new[s:s + step]
+        tiles = np.zeros((-(-len(rows) // 64), 64, words), np.uint64)
+        np.take(out, g[rows], axis=0, out=tiles.reshape(-1, words)[:len(rows)])
+        flat = _transpose_tiles(tiles).reshape(len(tiles), -1)
+        gathered = np.take(flat, at, axis=1).reshape(tiles.shape)
+        out[rows] = _transpose_tiles(gathered).reshape(-1, words)[:len(rows)]
+
+
 def adjacency_packed(m: np.ndarray, forest) -> np.ndarray:
-    """Commutation adjacency of all row pairs, bit-packed, diagonal clear,
-    given the rows' ``orbit_forest``.
+    """Commutation adjacency of all row pairs, bit-packed, diagonal and
+    padding bits clear, given the rows' ``orbit_forest``.
 
     Only one representative row per conjugacy class is compared densely
     against the whole matrix.  Every other row u is built along the
     forest's pulls, from the row g[u] it pulled from: g is an
     automorphism, so A[u, w] = A[g[u], g[w]], and row u is row g[u] with
-    its columns gathered through g (the diagonal stays clear).  A row set
-    not closed under conjugation has every row as a representative, so
-    then every row is compared densely.
+    its columns gathered through g (the diagonal stays clear).  Each pull
+    gathers whole columns of 64 rows as words between two transposes of
+    64×64 bit tiles (``_fill_pull``), about V²/64 words a fill.  A row
+    set not closed under conjugation has every row as a representative,
+    so then every row is compared densely.
     """
     big_n = len(m)
     out = np.empty((big_n, (big_n + 63) // 64), dtype=np.uint64)
@@ -370,7 +423,5 @@ def adjacency_packed(m: np.ndarray, forest) -> np.ndarray:
         eq[np.arange(len(rows)), rows] = False
         out[rows] = pack_bool_rows(eq, big_n)
     for g, new in pulls:
-        for s in range(0, len(new), _ADJACENCY_BLOCK):
-            rows = new[s:s + _ADJACENCY_BLOCK]
-            out[rows] = gather_packed(out, g[rows], g)
+        _fill_pull(out, g, new)
     return out

@@ -323,12 +323,14 @@ def max_commutative_nilpotent(n: int, budget_seconds=None) -> ExtremalReport:
     g = _graph.build_graph(n, "nilpotent", center="ideal")
     cliques = _graph.maximum_cliques(g, budget_seconds=budget_seconds)
     zero = PInj.zero(n)
-    # one int per vertex, shared by every witness that holds it
+    # one int and one element per vertex, shared by every witness that
+    # holds it
     ids = g.ids.tolist()
+    vertex = {i: g.vertex_element(i) for i in set().union(*cliques)}
     covered = set()
     witnesses = []
     for idx in cliques:
-        elements = [zero] + [g.vertex_element(i) for i in idx]
+        elements = [zero] + [vertex[i] for i in idx]
         if idx not in covered:
             # distinct elements, so closed exactly when the closure adds none
             if len(closure(elements, n)) != len(elements):

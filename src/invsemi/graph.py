@@ -545,21 +545,30 @@ def _search_roots(g, found, target, resume, deadline):
     place = np.full(len(g.reps), -1)
     place[g.inverse[order]] = np.arange(len(order))
     place = np.pad(place[g.inverse], (0, -len(g.ids) % 64), constant_values=-1)
+    # the vertices by class place, and where each place's run starts
+    members = np.argsort(place, kind="stable")
+    starts = np.searchsorted(place[members], np.arange(len(order) + 1))
+    # the vertices of the classes not rooted yet, packed like a row
+    alive = np.packbits(place >= len(rooted),
+                        bitorder="little").view(np.uint64)
     late = None
     try:
         for k in range(len(rooted), len(order)):
             if late is not None and time.perf_counter() > late:
                 raise _OutOfTime()
             r = order[k]
-            nbrs = g.packed[r] & np.packbits(
-                place >= k, bitorder="little").view(np.uint64)
+            nbrs = g.packed[r] & alive
+            done = members[starts[k]:starts[k + 1]]
+            np.bitwise_and.at(alive, done >> 6, ~(
+                np.uint64(1) << (done & 63).astype(np.uint64)))
             words = np.flatnonzero(nbrs)
             word, bit = np.nonzero(np.unpackbits(
                 nbrs[words].view(np.uint8), bitorder="little").reshape(-1, 64))
             local = words[word] * 64 + bit
             # the other members of a clique above the floor through r have
             # ``floor - 1`` or more neighbours among r's: skip r if too few
-            if (np.bitwise_count(g.packed[local] & nbrs).sum(axis=1)
+            if (np.bitwise_count(g.packed[np.ix_(local, words)]
+                                 & nbrs[words]).sum(axis=1)
                     >= floor - 1).sum() >= floor:
                 local = np.concatenate(([r], local))
                 block = gather_packed(g.packed, local, local)

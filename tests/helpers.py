@@ -119,6 +119,25 @@ def oracle_decode(n, parts, idx):
     return out
 
 
+def oracle_forest_fill(packed, forest):
+    """A copy of the packed adjacency ``packed`` with every row that the
+    ``orbit_forest`` ``forest`` pulls cleared and rebuilt from the row it
+    pulled from, pull by pull, in blocks of 64 rows: each block unpacks
+    its source rows to one byte per bit, gathers the bytes through the
+    pull's map and packs them back.  The reference for the forest fill of
+    ``_bulk.adjacency_packed``, which gathers whole 64-row columns as
+    words between two transposes of 64×64 bit tiles."""
+    out = packed.copy()
+    _, _, _, pulls = forest
+    for _, new in pulls:
+        out[new] = 0
+    for g, new in pulls:
+        for s in range(0, len(new), 64):
+            rows = new[s:s + 64]
+            out[rows] = gather_packed(out, g[rows], g)
+    return out
+
+
 def brute_adjacency(elements):
     """Commuting-graph adjacency as a dict index -> set(indices)."""
     adj = {i: set() for i in range(len(elements))}

@@ -257,6 +257,11 @@ def test_max_commutative_nilpotent_matches_oracle(n):
     assert [w.ids for w in rep.witnesses] == [w.ids for w in want.witnesses]
     assert ([w.elements for w in rep.witnesses]
             == [w.elements for w in want.witnesses])
+    # each vertex's element is built once and shared by its witnesses
+    shared = {}
+    for w in rep.witnesses:
+        for i, e in zip(w.ids, w.elements):
+            assert shared.setdefault(i, e) is e
 
 
 def conjugate(e, perm):

@@ -20,7 +20,7 @@ from helpers import (brute_adjacency, brute_components, brute_distance,
                      brute_eccentricity, brute_max_cliques,
                      dense_adjacency_packed, multi_source_bfs,
                      oracle_clique_search, oracle_core_mask, oracle_decode,
-                     oracle_degrees, oracle_greedy_from)
+                     oracle_degrees, oracle_forest_fill, oracle_greedy_from)
 
 
 def graph_elements(g):
@@ -251,9 +251,12 @@ def check_forest(mat):
 
 @pytest.mark.parametrize("block", [1, 5])
 def test_forest_fill_at_every_block_boundary(block, monkeypatch):
-    # rows are built from their parents in blocks; blocks of 1 and 5 rows
-    # cut every step's row list at many places
+    # representatives are compared in blocks of 1 and 5 rows, and the fill
+    # works in chunks of one 64-row tile, so every pull of more than 64
+    # rows is cut at tile boundaries and most end in a partial tile; the
+    # idempotents of I(6) and I(7) fill whole tiles of 64 and 128 columns
     monkeypatch.setattr(_bulk, "_ADJACENCY_BLOCK", block)
+    monkeypatch.setattr(_bulk, "_FILL_BYTES", 0)
     for n in range(6):
         for filt in FILTERS:
             for max_rank in (None, *range(1, n)):
@@ -261,6 +264,55 @@ def test_forest_fill_at_every_block_boundary(block, monkeypatch):
                 for rows in (mat, mat[ids != 0]):
                     check_forest(rows)
                     check_kernel(n, rows, True, monkeypatch)
+    for n in (6, 7):
+        rows = elements_matrix(n, "idempotent")[1]
+        assert len(rows) % 64 == 0
+        check_forest(rows)
+        check_kernel(n, rows, True, monkeypatch)
+
+
+def test_forest_fill_matches_oracle():
+    # the tile fill equals the byte-per-bit gather fill bit for bit: on
+    # every family at n <= 5 with and without zero, on the largest closed
+    # sets the package builds, on whole tiles, and on the row sets not
+    # closed under conjugation, which have no pulls
+    sets = []
+    for n in range(6):
+        for filt in FILTERS:
+            for max_rank in (None, *range(1, n)):
+                ids, mat = elements_matrix(n, filt, max_rank)
+                sets += [mat, mat[ids != 0]]
+    for n, filt, max_rank in ((6, "nilpotent", None), (6, "all", 3),
+                              (6, "all", None), (7, "nilpotent", None)):
+        ids, mat = elements_matrix(n, filt, max_rank)
+        sets.append(mat[ids != 0])
+    sets += [elements_matrix(n, "idempotent")[1] for n in (6, 7)]
+    swap = PInj.cycle(4, (0, 1))
+    open_sets = [
+        gm.build_graph(4, center=(PInj.zero(4), PInj.identity(4), swap)).imgs,
+        gm.build_graph(5, max_rank=2, center="ideal").imgs[1:]]
+    for mat in sets + open_sets:
+        forest = orbit_forest(mat)
+        packed = adjacency_packed(mat, forest)
+        assert packed.tobytes() == oracle_forest_fill(packed, forest).tobytes()
+    assert all(not orbit_forest(mat)[3] for mat in open_sets)
+
+
+def test_tile_transpose():
+    # each 64×64 bit tile x[t, :, w] against unpacking, transposing and
+    # packing its bits; a second transpose gives the input back
+    rng = np.random.default_rng(25)
+    top = np.iinfo(np.uint64).max
+    for shape in ((1, 64, 1), (3, 64, 5)):
+        x = rng.integers(0, top, size=shape, dtype=np.uint64, endpoint=True)
+        # bits[t, i, w, j] is bit j of word x[t, i, w]
+        bits = np.unpackbits(x.view(np.uint8), axis=2,
+                             bitorder="little").reshape(*shape, 64)
+        want = np.packbits(np.ascontiguousarray(bits.transpose(0, 3, 2, 1)),
+                           axis=3, bitorder="little").view(np.uint64)
+        got = _bulk._transpose_tiles(x.copy())
+        assert got.tobytes() == want.reshape(shape).tobytes()
+        assert _bulk._transpose_tiles(got).tobytes() == x.tobytes()
 
 
 def test_conjugacy_classes_are_conjugation_orbits():
