@@ -29,11 +29,13 @@ at the representatives.  A graph keeps the classes and maps its build
 found, and ``adjacency_packed`` takes the forest: it compares one
 representative row per class against all rows with dense gathers, and
 builds every other row from the row it pulled from, its columns gathered
-through that pull's map, one pull at a time: it transposes the 64×64 bit
-tiles of the source rows, so that each column of 64 rows is one word,
-gathers those words through the map and transposes back.  Other row sets
-compare every row densely.  ``gather_packed`` is the submatrix gather:
-chosen rows with chosen columns, bit by bit.
+through that pull's map, one ``gather_packed`` call a pull.  Other row
+sets compare every row densely.  ``gather_packed`` is the one submatrix
+gather, chosen rows with chosen columns: it transposes the 64×64 bit
+tiles of the rows, so that each column of 64 rows is one word, gathers
+those words through the columns and transposes back.  It fills the
+forest's rows, and the graph layer reads local clique graphs and induced
+subgraphs with it.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ __all__ = [
 
 _MAX_MATRIX_GROUND = 10
 _FILTERS = ("all", "idempotent", "permutation", "nilpotent")
-_ADJACENCY_BLOCK = 64  # rows per dense comparison or submatrix gather block
-# source bytes per forest fill chunk, in whole 64-row tiles and at least
-# one, so that a chunk's transposes run in cache
+_ADJACENCY_BLOCK = 64  # representative rows per dense comparison block
+# source bytes per ``gather_packed`` chunk, in whole 64-row tiles and at
+# least one, so that a chunk's transposes run in cache
 _FILL_BYTES = 1 << 19
 # (shift, mask) of the six delta swaps that transpose a 64×64 bit tile
 _TILE_SWAPS = tuple((s, np.uint64(m)) for s, m in (
@@ -346,20 +348,6 @@ def orbit_forest(m: np.ndarray):
     return reps, np.searchsorted(reps, low), maps, pulls
 
 
-def gather_packed(packed: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-    """Packed rows ``rows`` of ``packed`` with their columns gathered
-    through ``cols``: bit j of row i is bit cols[j] of row rows[i].  Works
-    in blocks of _ADJACENCY_BLOCK rows; padding bits stay clear."""
-    out = np.empty((len(rows), (len(cols) + 63) // 64), dtype=np.uint64)
-    for s in range(0, len(rows), _ADJACENCY_BLOCK):
-        block = packed[rows[s:s + _ADJACENCY_BLOCK]].view(np.uint8)
-        bits = np.unpackbits(block, axis=1, bitorder="little").view(bool)
-        out[s:s + _ADJACENCY_BLOCK] = pack_bool_rows(
-            np.take(bits, cols, axis=1), len(cols))
-    return out
-
-
 def _transpose_tiles(x: np.ndarray) -> np.ndarray:
     """Transpose in place each 64×64 bit tile x[t, :, w] of a uint64
     array of shape (T, 64, W), and return x: bit j of word i of a tile
@@ -378,26 +366,36 @@ def _transpose_tiles(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fill_pull(out: np.ndarray, g: np.ndarray, new: np.ndarray) -> None:
-    """Rows ``new`` of ``out`` from their sources, already built: row u is
-    row g[u] with its columns gathered through g.  The source rows go in
-    chunks of whole 64-row tiles, about _FILL_BYTES each, the last tile
-    padded with zero rows.  A chunk is transposed, so that column c of a
-    tile is one word; one word gather through g lays the columns out as
-    the output tiles, which transpose back into rows."""
-    big_n, words = out.shape
-    # the output's padding columns read column big_n, clear in every row
-    cols = np.append(g, np.full(-big_n % 64, big_n))
-    # column c of a transposed tile is its word (c & 63)·W + (c >> 6)
-    at = ((cols & 63) * words + (cols >> 6)).reshape(words, 64).T.ravel()
-    step = 64 * max(1, _FILL_BYTES // (512 * words))
-    for s in range(0, len(new), step):
-        rows = new[s:s + step]
-        tiles = np.zeros((-(-len(rows) // 64), 64, words), np.uint64)
-        np.take(out, g[rows], axis=0, out=tiles.reshape(-1, words)[:len(rows)])
+def gather_packed(packed: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """Packed rows ``rows`` of ``packed`` with their columns gathered
+    through ``cols``: bit j of row i is bit cols[j] of row rows[i], and the
+    padding bits of the last word are clear.  The rows go in chunks of
+    whole 64-row tiles, about _FILL_BYTES each, the last tile padded with
+    zero rows.  A chunk is transposed, so that column c of a tile is one
+    word; one word gather through ``cols`` lays the columns out as the
+    output tiles, which transpose back into rows."""
+    words = packed.shape[1]
+    out = np.empty((len(rows), -(-len(cols) // 64)), dtype=np.uint64)
+    if not out.size:
+        return out
+    # padding columns read column 0, masked off below; column c of a
+    # transposed tile is its word (c & 63)·W + (c >> 6)
+    at = np.append(cols, np.zeros(-len(cols) % 64, np.intp))
+    at = ((at & 63) * words + (at >> 6)).reshape(-1, 64).T.ravel()
+    step = 64 * max(1, _FILL_BYTES // (512 * max(words, out.shape[1])))
+    for s in range(0, len(rows), step):
+        block = rows[s:s + step]
+        tiles = np.zeros((-(-len(block) // 64), 64, words), np.uint64)
+        np.take(packed, block, axis=0,
+                out=tiles.reshape(-1, words)[:len(block)])
         flat = _transpose_tiles(tiles).reshape(len(tiles), -1)
-        gathered = np.take(flat, at, axis=1).reshape(tiles.shape)
-        out[rows] = _transpose_tiles(gathered).reshape(-1, words)[:len(rows)]
+        gathered = np.take(flat, at, axis=1).reshape(len(tiles), 64, -1)
+        out[s:s + step] = _transpose_tiles(gathered).reshape(
+            -1, out.shape[1])[:len(block)]
+    if len(cols) % 64:
+        out[:, -1] &= np.uint64((1 << len(cols) % 64) - 1)
+    return out
 
 
 def adjacency_packed(m: np.ndarray, forest) -> np.ndarray:
@@ -409,10 +407,10 @@ def adjacency_packed(m: np.ndarray, forest) -> np.ndarray:
     forest's pulls, from the row g[u] it pulled from: g is an
     automorphism, so A[u, w] = A[g[u], g[w]], and row u is row g[u] with
     its columns gathered through g (the diagonal stays clear).  Each pull
-    gathers whole columns of 64 rows as words between two transposes of
-    64×64 bit tiles (``_fill_pull``), about V²/64 words a fill.  A row
-    set not closed under conjugation has every row as a representative,
-    so then every row is compared densely.
+    is one ``gather_packed`` call, which moves whole columns of 64 rows
+    as words, about V²/64 words a fill.  A row set not closed under
+    conjugation has every row as a representative, so then every row is
+    compared densely.
     """
     big_n = len(m)
     out = np.empty((big_n, (big_n + 63) // 64), dtype=np.uint64)
@@ -423,5 +421,5 @@ def adjacency_packed(m: np.ndarray, forest) -> np.ndarray:
         eq[np.arange(len(rows)), rows] = False
         out[rows] = pack_bool_rows(eq, big_n)
     for g, new in pulls:
-        _fill_pull(out, g, new)
+        out[new] = gather_packed(out, g[new], g)
     return out

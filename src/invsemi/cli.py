@@ -957,7 +957,7 @@ def main(argv=None) -> int:
     except graphmod.BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UsageError, pinj.ParseError, ValueError) as e:
+    except (UsageError, pinj.ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

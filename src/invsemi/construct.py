@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bulk import (_filter_mask, commuting, element_rows, iter_matrix_chunks,
-                    products, row_element, row_index)
+from ._bulk import (_filter_mask, commuting, element_rows, elements_matrix,
+                    iter_matrix_chunks, products, row_element, row_index)
 from .pinj import (
     PInj,
     UNDEF,
@@ -255,15 +255,10 @@ def balanced_null_semigroups(n: int):
 
 
 def idempotent_semilattice(n: int) -> SemigroupSet:
-    """The 2^n idempotents; products are intersections of domains."""
-    out = []
-    for r in range(n + 1):
-        for dom in itertools.combinations(range(n), r):
-            img = [UNDEF] * n
-            for x in dom:
-                img[x] = x
-            out.append(PInj(n, img))
-    return SemigroupSet.from_elements(n, out)
+    """The 2^n idempotents; products are intersections of domains.  Built
+    by ``elements_matrix``, so n <= 10."""
+    ids, m = elements_matrix(n, "idempotent")
+    return SemigroupSet(n, (row_element(n, r) for r in m), ids.tolist())
 
 
 def closure(seed, n=None, max_size: int = 1_000_000) -> SemigroupSet:

@@ -11,8 +11,9 @@ from collections import deque
 import numpy as np
 
 from invsemi import graph as gm
-from invsemi._bulk import _stratum_tables, gather_packed, pack_bool_rows
-from invsemi.construct import ExtremalReport, SemigroupFlags, closure
+from invsemi._bulk import _stratum_tables, pack_bool_rows
+from invsemi.construct import (ExtremalReport, SemigroupFlags,
+                               SemigroupSet, closure)
 from invsemi.pinj import PInj, UNDEF, decompose
 
 
@@ -60,6 +61,20 @@ def oracle_semigroup_flags(s) -> SemigroupFlags:
     semilattice = closed and commutative and len(idems) == len(els)
     return SemigroupFlags(len(els), closed, commutative, null, nilp,
                           inverse, semilattice)
+
+
+def oracle_idempotent_semilattice(n):
+    """The 2^n partial identities, one per domain, each ranked by
+    ``element_id``: the reference for ``construct.idempotent_semilattice``,
+    which takes the rows and IDs of ``_bulk.elements_matrix``."""
+    out = []
+    for r in range(n + 1):
+        for dom in itertools.combinations(range(n), r):
+            img = [UNDEF] * n
+            for x in dom:
+                img[x] = x
+            out.append(PInj(n, img))
+    return SemigroupSet.from_elements(n, out)
 
 
 def oracle_max_commutative_nilpotent(n):
@@ -119,22 +134,32 @@ def oracle_decode(n, parts, idx):
     return out
 
 
+def oracle_gather_packed(packed, rows, cols):
+    """Packed rows ``rows`` of ``packed`` with their columns gathered
+    through ``cols``, in blocks of 64 rows: each block unpacks to one byte
+    per bit, gathers the bytes through ``cols`` and packs them back, so the
+    padding bits are clear.  The reference for ``_bulk.gather_packed``,
+    which gathers whole 64-row columns as words between two transposes of
+    64×64 bit tiles."""
+    out = np.empty((len(rows), (len(cols) + 63) // 64), dtype=np.uint64)
+    for s in range(0, len(rows), 64):
+        block = packed[rows[s:s + 64]].view(np.uint8)
+        bits = np.unpackbits(block, axis=1, bitorder="little").view(bool)
+        out[s:s + 64] = pack_bool_rows(bits[:, cols], len(cols))
+    return out
+
+
 def oracle_forest_fill(packed, forest):
     """A copy of the packed adjacency ``packed`` with every row that the
     ``orbit_forest`` ``forest`` pulls cleared and rebuilt from the row it
-    pulled from, pull by pull, in blocks of 64 rows: each block unpacks
-    its source rows to one byte per bit, gathers the bytes through the
-    pull's map and packs them back.  The reference for the forest fill of
-    ``_bulk.adjacency_packed``, which gathers whole 64-row columns as
-    words between two transposes of 64×64 bit tiles."""
+    pulled from, pull by pull, by ``oracle_gather_packed``.  The reference
+    for the forest fill of ``_bulk.adjacency_packed``."""
     out = packed.copy()
     _, _, _, pulls = forest
     for _, new in pulls:
         out[new] = 0
     for g, new in pulls:
-        for s in range(0, len(new), 64):
-            rows = new[s:s + 64]
-            out[rows] = gather_packed(out, g[rows], g)
+        out[new] = oracle_gather_packed(out, g[new], g)
     return out
 
 
@@ -201,7 +226,7 @@ def oracle_clique_search(g):
         order = oracle_relabel_order(
             g.packed, oracle_core_mask(g.packed, floor))
         rows = [int.from_bytes(r.tobytes(), "little")
-                for r in gather_packed(g.packed, order, order)]
+                for r in oracle_gather_packed(g.packed, order, order)]
         run = gm._CliqueRun(rows, floor, target)
         for i, row in enumerate(rows):
             cand = row >> (i + 1) << (i + 1)

@@ -504,6 +504,28 @@ def test_graph_corrupt_cache_names_file_and_force(capsys, tmp_path):
     assert code == 0 and json.loads(out) == json.loads(want)
 
 
+@pytest.mark.parametrize("option", ["--dot", "--csv", "--save",
+                                    "--cache-dir"])
+def test_graph_file_error_is_usage_error(capsys, tmp_path, option):
+    # a path under a regular file can be neither written nor created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run_main(capsys, ["graph", "--n", "3", option,
+                                     str(blocker / "sub" / "g")])
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_distance5_at_twenty_seven_points(capsys):
+    code, out, _ = run_main(capsys, ["verify", "distance5", "--n", "27",
+                                     "--json"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["pass"] and d["params"] == {"n": 27}
+    assert {(c["claim"], c["computed"]) for c in d["checks"]} \
+        >= {("certified distance", 5)}
+
+
 def test_extremal_command(capsys):
     code, out, _ = run_main(capsys, ["extremal", "--n", "4", "--json",
                                      "--list"])

@@ -17,7 +17,8 @@ from invsemi.construct import (SemigroupFlags, SemigroupSet,
 from invsemi.pinj import (PInj, UNDEF, element_from_id, element_id,
                           format_element, monoid_order, power)
 
-from helpers import oracle_max_commutative_nilpotent, oracle_semigroup_flags
+from helpers import (oracle_idempotent_semilattice,
+                     oracle_max_commutative_nilpotent, oracle_semigroup_flags)
 
 LAMBDA = {1: 1, 2: 2, 3: 3, 4: 7, 5: 13, 6: 34, 7: 73, 8: 209, 9: 501,
           10: 1546, 11: 4051}
@@ -108,6 +109,13 @@ def test_enumerate_max_rank():
 
 
 # -- semigroup sets ----------------------------------------------------------------
+
+
+def test_idempotent_semilattice_matches_oracle():
+    for n in range(10):
+        got, want = idempotent_semilattice(n), oracle_idempotent_semilattice(n)
+        assert got.ids == want.ids and len(got.ids) == 2 ** n
+        assert got.elements == want.elements
 
 
 def test_semigroup_set_flags():

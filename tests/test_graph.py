@@ -20,7 +20,8 @@ from helpers import (brute_adjacency, brute_components, brute_distance,
                      brute_eccentricity, brute_max_cliques,
                      dense_adjacency_packed, multi_source_bfs,
                      oracle_clique_search, oracle_core_mask, oracle_decode,
-                     oracle_degrees, oracle_forest_fill, oracle_greedy_from)
+                     oracle_degrees, oracle_forest_fill, oracle_gather_packed,
+                     oracle_greedy_from)
 
 
 def graph_elements(g):
@@ -313,6 +314,31 @@ def test_tile_transpose():
         got = _bulk._transpose_tiles(x.copy())
         assert got.tobytes() == want.reshape(shape).tobytes()
         assert _bulk._transpose_tiles(got).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("fill_bytes", [0, _bulk._FILL_BYTES])
+def test_gather_packed_matches_oracle_at_word_boundaries(fill_bytes,
+                                                         monkeypatch):
+    # seeded random V-column matrices, padding bits set, gathered through
+    # row and column lists with repeats on both sides of whole words and
+    # tiles, in one chunk and in chunks of one tile; where V is a multiple
+    # of 64 and len(cols) is not, the source has no clear padding column
+    # and only the mask clears the last word's padding bits
+    monkeypatch.setattr(_bulk, "_FILL_BYTES", fill_bytes)
+    rng = np.random.default_rng(26)
+    top = np.iinfo(np.uint64).max
+    lengths = (0, 1, 63, 64, 65, 130)
+    for v in (1, 63, 64, 65, 128, 130):
+        packed = rng.integers(0, top, size=(v, (v + 63) // 64),
+                              dtype=np.uint64, endpoint=True)
+        for nr, nc in itertools.product(lengths, lengths):
+            rows, cols = rng.integers(0, v, nr), rng.integers(0, v, nc)
+            got = _bulk.gather_packed(packed, rows, cols)
+            want = oracle_gather_packed(packed, rows, cols)
+            assert got.shape == want.shape == (nr, -(-nc // 64))
+            assert got.tobytes() == want.tobytes()
+            if nr and nc % 64:
+                assert not (got[:, -1] >> np.uint64(nc % 64)).any()
 
 
 def test_conjugacy_classes_are_conjugation_orbits():
