@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -397,6 +398,10 @@ def _suite_ideal_diameters(s: SuiteReport, p: dict, ctx: CliContext):
 
 def _suite_full_diameter(s: SuiteReport, p: dict, ctx: CliContext):
     n = p.get("n", 4)
+    if n > 2 and n % 2 == 1 and witnesses._smallest_prime_factor(n) != n:
+        raise UsageError(f"the full-diameter suite has no reference value at"
+                         f" odd composite n={n}: the diameter is 5 at an odd"
+                         " prime power, else 4 or 5 (the open case)")
     ctx.guard("the full-diameter suite", n, GRAPH_SUITE_NS, floor=True)
     expected = 4 if n % 2 == 0 else graphmod.INFINITY
     s.check(f"diameter of the full commuting graph at n={n}",
@@ -655,12 +660,15 @@ def _require_n(args) -> int:
 
 def _emit(args, out, lines) -> None:
     """Print ``out`` as indented JSON under ``--json``, else the text
-    ``lines``."""
-    if args.json:
-        print(json.dumps(_jsonable(out), indent=2))
-    else:
-        for line in lines:
+    ``lines``.  A reader closing stdout early only ends the printing: stdout
+    then points at os.devnull, so the flush at exit cannot raise either."""
+    try:
+        for line in ([json.dumps(_jsonable(out), indent=2)] if args.json
+                     else lines):
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _table(out: dict, width: int):

@@ -18,7 +18,8 @@ offset per mapped cycle.  They stream as int8 image-matrix chunks that
 decode each element from its index, with ``PInj`` objects as a view.
 The joint centralizer of two permutations generating a transitive group
 needs no stream: a commuting element is fixed by the image of one point,
-so one Schreier tree of the group yields every candidate.
+so one propagation per candidate image of that point, stopped at the first
+edge that disagrees, yields every candidate.
 """
 
 from __future__ import annotations
@@ -224,22 +225,18 @@ def permutation_centralizer_order(a: PInj) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _orbit(d: PInj, e: PInj, x0: int):
-    """(the orbit of x0 under the group the permutations d and e generate,
-    in breadth-first order; the edges (x, g, y) of its Schreier tree,
-    where y is the image of x under d for g = 0 and under e for g = 1).
-    Cached: a pair's joint centralizer reuses its class test's orbit of 0."""
+def _orbit(d: PInj, e: PInj, x0: int) -> tuple:
+    """The orbit of x0 under ⟨d, e⟩ in breadth-first order; cached, so a
+    pair's joint centralizer reuses its class test's orbit of 0."""
     if d.n != e.n or not (d.is_permutation() and e.is_permutation()):
         raise ValueError("need two permutations of one ground set")
-    order, tree, seen = [x0], [], {x0}
+    order, seen = [x0], [x == x0 for x in range(d.n)]
     for x in order:
-        for g, img in enumerate((d.img, e.img)):
-            y = img[x]
-            if y not in seen:
-                seen.add(y)
+        for y in (d.img[x], e.img[x]):
+            if not seen[y]:
+                seen[y] = True
                 order.append(y)
-                tree.append((x, g, y))
-    return tuple(order), tuple(tree)
+    return tuple(order)
 
 
 def overlap_classes(d: PInj, e: PInj) -> list:
@@ -248,42 +245,51 @@ def overlap_classes(d: PInj, e: PInj) -> list:
     classes, seen = [], set()
     for x in range(d.n):
         if x not in seen:
-            orbit = frozenset(_orbit(d, e, x)[0])
+            orbit = frozenset(_orbit(d, e, x))
             seen |= orbit
             classes.append(orbit)
     return classes
 
 
-def permutation_joint_centralizer(d: PInj, e: PInj) -> list:
-    """All elements commuting with both permutations ``d`` and ``e``.
+def _propagate(order, gens, y):
+    """The only map c with c(order[0]) = y that can commute with ``gens``:
+    c(g(x)) = g(c(x)) along the breadth-first ``order`` of the group they
+    generate, or None at the first edge where the two disagree."""
+    c = [UNDEF] * len(order)
+    c[order[0]] = y
+    for x in order:
+        cx = c[x]
+        for g in gens:
+            gx, want = g[x], g[cx]
+            if c[gx] == UNDEF:
+                c[gx] = want
+            elif c[gx] != want:
+                return None
+    return c
 
-    Requires the group ⟨d, e⟩ to be transitive, i.e. the cycle-overlap
-    closure to be a single class covering the ground set.  Then a nonzero
-    commuting element is a permutation fixed by the image y of point 0
-    (Dixon & Mortimer, *Permutation Groups*, Thm 4.2A): one breadth-first
-    search of ⟨d, e⟩ from 0 gives a Schreier tree, and c(g(x)) = g(c(x))
-    along its edges builds the only candidate c_y for every y at once, one
-    gather per edge.  A total map commuting with a transitive group is
-    onto, so the candidates that commute with d and e on every point are
-    permutations; each becomes a ``PInj``, which rejects a table that is
-    not injective, and is re-checked by a ``CommuteChecker`` of both.
-    With the zero map, at most n+1 elements result.
+
+def permutation_joint_centralizer(d: PInj, e: PInj) -> list:
+    """All elements commuting with both permutations ``d`` and ``e``: the
+    zero map, then the nonzero ones by ascending image of point 0.
+
+    Requires ⟨d, e⟩ to be transitive: one cycle-overlap class covering the
+    ground set.  Then a nonzero commuting element is a permutation fixed by
+    the image y of point 0 (Dixon & Mortimer, *Permutation Groups*, Thm
+    4.2A).  Per y, ``_propagate`` sets c(g(x)) = g(c(x)) along the
+    breadth-first order of ⟨d, e⟩ and drops y at the first edge where the
+    two disagree, so a survivor commutes with d and e on every point and,
+    commuting with a transitive group, is onto.  It becomes a ``PInj``,
+    which rejects a table that is not injective, and is re-checked by a
+    ``CommuteChecker`` of both.  With the zero map, at most n+1 result.
     """
     n = d.n
-    order, tree = _orbit(d, e, 0) if n else ((), ())
+    order = _orbit(d, e, 0) if n else ()
     if not n or len(order) != n:
         raise ValueError("overlap closure is not a single class")
-    gens = gd, ge = np.array([d.img, e.img], dtype=np.intp)
-    # images[x, y] = c_y(x), where c_y is the candidate sending 0 to y
-    images = np.empty((n, n), dtype=np.intp)
-    images[0] = np.arange(n)
-    for x, g, y in tree:
-        images[y] = gens[g][images[x]]
-    ok = ((images[gd] == gd[images])
-          & (images[ge] == ge[images])).all(axis=0)
     chk_d, chk_e = CommuteChecker(d), CommuteChecker(e)
     out = [PInj.zero(n)]
-    for row in images[:, ok].T.tolist():
+    rows = (_propagate(order, (d.img, e.img), y) for y in range(n))
+    for row in filter(None, rows):
         c = PInj(n, row)
         if chk_d.commutes(c) and chk_e.commutes(c):
             out.append(c)

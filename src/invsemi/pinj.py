@@ -49,9 +49,8 @@ __all__ = [
 
 UNDEF = -1
 
-# Image tables are plain tuples, so nothing below breaks past 32 points;
-# IDs are exercised up to this ground size, enumeration only to n <= 10.
-MAX_GROUND = 32
+# The largest n whose sentinel n fits the int8 image rows of ``_bulk``.
+MAX_GROUND = 127
 
 
 class PInj:
@@ -91,11 +90,13 @@ class PInj:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    @functools.cache
     def zero(cls, n: int) -> "PInj":
-        """The empty map, the zero of I(X)."""
+        """The empty map, the zero of I(X), one shared instance per n."""
         return cls(n, (UNDEF,) * n)
 
     @classmethod
+    @functools.cache
     def identity(cls, n: int) -> "PInj":
         return cls(n, range(n))
 

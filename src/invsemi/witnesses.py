@@ -447,7 +447,7 @@ def _far_pair_checks(pa, pb):
     grid of proper powers (3) come from one batch.  The interior vertex of
     a path of length 4 commutes with a pivot of each end, as a^s and
     a^gcd(s, m) generate one group; one exists exactly when the pivots'
-    group is intransitive or its Schreier tree finds more than {0, 1} (4).
+    group is intransitive or its joint centralizer exceeds {0, 1} (4).
     """
     (arows, adiv), (brows, bdiv) = pa, pb
     hits = commuting(arows, brows)

@@ -440,6 +440,40 @@ def oracle_joint_centralizer(d: PInj, e: PInj) -> list:
     return out
 
 
+def oracle_schreier_joint_centralizer(d: PInj, e: PInj) -> list:
+    """Oracle for ``commute.permutation_joint_centralizer``, in the same
+    order: the zero map, then the nonzero elements by ascending image of
+    point 0.  One Schreier tree of the transitive group <d, e> from 0
+    builds the only candidate c_y for every image y of 0 at once, one
+    numpy gather per tree edge, and a mask of c_y(g(x)) == g(c_y(x)) over
+    every point and both generators keeps the candidates that commute."""
+    n = d.n
+    if len(oracle_overlap_classes(d, e)) != 1:
+        raise ValueError("overlap closure is not a single class")
+    order, tree, seen = [0], [], {0}
+    for x in order:
+        for g, img in enumerate((d.img, e.img)):
+            y = img[x]
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                tree.append((x, g, y))
+    gens = gd, ge = np.array([d.img, e.img], dtype=np.intp)
+    # images[x, y] = c_y(x), where c_y is the candidate sending 0 to y
+    images = np.empty((n, n), dtype=np.intp)
+    images[0] = np.arange(n)
+    for x, g, y in tree:
+        images[y] = gens[g][images[x]]
+    ok = ((images[gd] == gd[images])
+          & (images[ge] == ge[images])).all(axis=0)
+    out = [PInj.zero(n)]
+    for row in images[:, ok].T.tolist():
+        c = PInj(n, row)
+        if oracle_commutes(d, c) and oracle_commutes(e, c):
+            out.append(c)
+    return out
+
+
 def oracle_full_cycle_distance(a: PInj, b: PInj):
     """Commuting-graph distance of two full cycles on a composite number
     of points, from the whole (n-1) x (n-1) grid of power pairs: 2 for a

@@ -526,6 +526,42 @@ def test_verify_distance5_at_twenty_seven_points(capsys):
         >= {("certified distance", 5)}
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "distance5", "--n", "27", "--json"],
+    # 541 kB of text, more than a pipe holds, so a write must fail
+    ["centralizer", "--n", "10", "--list", "(1 2)|(3 4)|(5 6)|(7 8)|(9 10)"]])
+def test_closed_stdout_keeps_exit_status(argv):
+    # a reader that stops after 100 bytes cuts the output short but must
+    # not turn a pass into "error: [Errno 32] Broken pipe" and exit 2
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "invsemi", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert len(head) == 100 and err == b""
+
+
+def test_full_diameter_rejects_odd_composite_before_building(capsys,
+                                                              monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli.CliContext, "graph", no_build)
+    for n in ("9", "15"):
+        code, _, err = run_main(capsys, ["verify", "full-diameter", "--n", n,
+                                         "--force"])
+        assert code == 2
+        assert err.startswith("error:") and "4 or 5" in err
+        assert "open case" in err and f"n={n}" in err
+
+
 def test_extremal_command(capsys):
     code, out, _ = run_main(capsys, ["extremal", "--n", "4", "--json",
                                      "--list"])

@@ -25,7 +25,7 @@ from invsemi.witnesses import _proper_divisors, prime_power_pair
 
 from helpers import (oracle_commutes, oracle_decode, oracle_joint_centralizer,
                      oracle_overlap_classes, oracle_permutation_centralizer,
-                     oracle_products)
+                     oracle_products, oracle_schreier_joint_centralizer)
 
 
 def all_elements(n):
@@ -391,7 +391,9 @@ def test_joint_centralizer_matches_brute_single_class():
             continue
         brute = {c for c in els
                  if commutes_naive(a, c) and commutes_naive(b, c)}
-        assert set(permutation_joint_centralizer(a, b)) == brute
+        got = permutation_joint_centralizer(a, b)
+        assert set(got) == brute
+        assert got == oracle_schreier_joint_centralizer(a, b)
         hit += 1
     assert hit == 210
 
@@ -463,7 +465,11 @@ def test_joint_centralizer_matches_oracle(n):
         got = permutation_joint_centralizer(d, e)
         assert len(got) == len(set(got))
         assert set(got) == set(oracle_joint_centralizer(d, e))
-        assert len(got) == n + 1 or (d, e) not in regular
+        assert got == oracle_schreier_joint_centralizer(d, e)
+        assert got[0] == PInj.zero(n)
+        if (d, e) in regular:
+            # every candidate survives, listed by ascending image of 0
+            assert [c(0) for c in got[1:]] == list(range(n))
 
 
 @pytest.mark.parametrize("n", [15, 21])
@@ -480,4 +486,6 @@ def test_joint_centralizer_divisor_powers_match_oracle(n):
                     with pytest.raises(ValueError):
                         permutation_joint_centralizer(ga, gb)
                     continue
-                assert set(permutation_joint_centralizer(ga, gb)) == want
+                got = permutation_joint_centralizer(ga, gb)
+                assert set(got) == want
+                assert got == oracle_schreier_joint_centralizer(ga, gb)

@@ -42,9 +42,22 @@ def test_constructors_and_accessors():
     assert PInj.chain(5, (0, 2, 4)).dom() == (0, 2)
 
 
+def test_zero_and_identity_are_shared_per_ground_size():
+    assert PInj.zero(7) is PInj.zero(7)
+    assert PInj.identity(7) is PInj.identity(7)
+    assert PInj.zero(7) is not PInj.zero(6)
+    assert PInj.zero(7) == PInj(7, [UNDEF] * 7)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            PInj.zero(-1)
+        with pytest.raises(ValueError):
+            PInj.identity(128)
+
+
 def test_constructor_rejections():
-    with pytest.raises(ValueError):
-        PInj(33, [UNDEF] * 33)  # ground size cap
+    PInj(127, [UNDEF] * 127)  # the ground size cap, the int8 row limit
+    with pytest.raises(ValueError, match="127"):
+        PInj(128, [UNDEF] * 128)
     with pytest.raises(ValueError):
         PInj(3, [0, 0, UNDEF])  # not injective
     with pytest.raises(ValueError):

@@ -478,14 +478,14 @@ def test_dolzan_distance_check():
     # 2 neighborhoods, 3 power checks, divisor pairs (2,3) and (5,3), and
     # streams of the 2nd and 5th powers
     assert len(rep.checks) == 9
-    for n in (11, 17, 3, 2, 33):
+    for n in (11, 17, 3, 2, 129):
         with pytest.raises(ValueError):
             wit.dolzan_distance_check(n)
 
 
 @pytest.mark.parametrize("n", [9, 10, 15, 16, 21, 22, 25, 26, 27, 28])
 def test_dolzan_distance_check_range(n):
-    # every n up to the ground cap with n and n-1 composite; n=16 must not
+    # every n up to 28 with n and n-1 composite; n=16 must not
     # stream the 101,817,089-row centralizer of its 8th power
     t0 = time.perf_counter()
     rep = wit.dolzan_distance_check(n)
@@ -507,6 +507,12 @@ def test_search_open_deterministic_and_correct(full_graphs):
     for sa, sb, d in r1.pairs[:12]:
         a, b = parse(sa, 6), parse(sb, 6)
         assert gm.distance(g, a, b).value == d
+
+
+@pytest.mark.parametrize("n", [21, 105])
+def test_search_open_at_odd_composite_n(n):
+    # odd, with two or more prime factors: the abstract's open case
+    assert wit.search_open(n, samples=1, seed=0).histogram == {5: 1}
 
 
 def test_search_open_prime_ground():
