@@ -56,9 +56,7 @@ from .graph import (
     distance,
     eccentricities,
     induced_subgraph,
-    load_packed,
     maximum_cliques,
-    save_packed,
 )
 from .witnesses import (
     Distance5Report,
@@ -92,8 +90,7 @@ __all__ = [
     "max_commutative_nilpotent", "null_semigroup",
     "INFINITY", "BudgetExceeded", "CommutingGraph", "build_graph",
     "clique_number", "components", "diameter", "distance",
-    "eccentricities", "induced_subgraph", "load_packed",
-    "maximum_cliques", "save_packed",
+    "eccentricities", "induced_subgraph", "maximum_cliques",
     "Distance5Report", "align_middle", "build_path",
     "commuting_idempotent", "dolzan_distance_check",
     "extremal_nilpotent_pair", "ideal_witness_pair", "prime_power_pair",

@@ -17,7 +17,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -135,10 +134,9 @@ class SuiteReport:
 
 @dataclass
 class CliContext:
-    """Run-wide knobs plus a per-process graph store (memory + disk)."""
+    """Run-wide knobs plus a per-process graph store."""
 
     budget_seconds: float | None = None
-    cache_dir: str | None = None
     force: bool = False
     _graphs: dict = field(default_factory=dict)
 
@@ -165,8 +163,7 @@ class CliContext:
         """Commuting graph of I(n) minus its center; with ``max_rank`` r,
         that of the nonzero elements of rank at most r, built from those
         elements alone; with ``filt``, that of one family minus the
-        family's center (``FILTER_CENTERS``).  Memoized; with ``cache_dir``
-        the full graph is also kept on disk."""
+        family's center (``FILTER_CENTERS``).  Memoized."""
         key = (n, max_rank, filt)
         if key in self._graphs:
             return self._graphs[key]
@@ -174,28 +171,15 @@ class CliContext:
             raise UsageError("--ideal applies to the unfiltered monoid")
         if max_rank is not None and not 1 <= max_rank <= n - 1:
             raise UsageError("need 1 <= r <= n-1 for an ideal graph")
-        path = None
-        if max_rank is None and filt == "all" and self.cache_dir is not None:
-            path = Path(self.cache_dir) / f"icgr-full-n{n}.bin"
-        if path is not None and path.exists() and not self.force:
-            try:
-                g = graphmod.load_packed(path)
-            except ValueError as e:
-                raise UsageError(f"bad graph cache {path}: {e}; delete it or"
-                                 " rerun with --force to rebuild it") from None
+        self.guard("graph materialization", n, GRAPH_NS)
+        if max_rank is None:
+            g = graphmod.build_graph(n, filt, center=FILTER_CENTERS[filt],
+                                     vertex_cap=self.vertex_cap)
         else:
-            self.guard("graph materialization", n, GRAPH_NS)
-            if max_rank is None:
-                g = graphmod.build_graph(n, filt, center=FILTER_CENTERS[filt],
-                                         vertex_cap=self.vertex_cap)
-            else:
-                g = graphmod.build_graph(
-                    n, max_rank=max_rank, center="ideal",
-                    label=f"rank{max_rank}-ideal-n{n}",
-                    vertex_cap=self.vertex_cap)
-            if path is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                graphmod.save_packed(g, path)
+            g = graphmod.build_graph(
+                n, max_rank=max_rank, center="ideal",
+                label=f"rank{max_rank}-ideal-n{n}",
+                vertex_cap=self.vertex_cap)
         self._graphs[key] = g
         return g
 
@@ -783,9 +767,6 @@ def cmd_graph(args, ctx) -> int:
     if args.csv:
         graphmod.export_edge_csv(g, args.csv)
         info["csv"] = args.csv
-    if args.save:
-        graphmod.save_packed(g, args.save)
-        info["saved"] = args.save
     _emit(args, info, _table(info, 14))
     return EXIT_PASS
 
@@ -888,8 +869,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           " clique number, then any maximum-clique"
                           " enumeration), not the graph build; exit 3 on"
                           " overrun, no checkpoint kept")
-    cache = _option("--cache-dir", default=None,
-                    help="directory for packed graph caches")
     force = _option("--force", action="store_true",
                     help="lift runtime guards (slow, never wrong)")
 
@@ -898,7 +877,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Partial injective transformations: normal forms,"
                     " commutation, extremal subsemigroups, commuting"
                     " graphs.")
-    ap.set_defaults(budget_seconds=None, cache_dir=None, force=False)
+    ap.set_defaults(budget_seconds=None, force=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("elem", parents=[common],
@@ -913,15 +892,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=cmd_centralizer)
 
-    p = sub.add_parser("graph", parents=[common, ideal, budget, cache, force],
+    p = sub.add_parser("graph", parents=[common, ideal, budget, force],
                        help="build a commuting graph; stats and exports")
     p.add_argument("--filter", default="all", choices=tuple(FILTER_CENTERS))
     p.add_argument("--diameter", action="store_true")
     p.add_argument("--clique", action="store_true")
     p.add_argument("--dot", default=None, metavar="FILE")
     p.add_argument("--csv", default=None, metavar="FILE")
-    p.add_argument("--save", default=None, metavar="FILE",
-                   help="write the packed binary cache")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("extremal", parents=[common, budget, force],
@@ -939,7 +916,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("extremal", "ideal", "prime-power"))
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("verify", parents=[common, budget, cache, force],
+    p = sub.add_parser("verify", parents=[common, budget, force],
                        help="run a verification suite")
     p.add_argument("suite", choices=SUITE_ORDER + ("all",))
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
@@ -958,8 +935,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    ctx = CliContext(budget_seconds=args.budget_seconds,
-                     cache_dir=args.cache_dir, force=args.force)
+    ctx = CliContext(budget_seconds=args.budget_seconds, force=args.force)
     try:
         return args.func(args, ctx)
     except graphmod.BudgetExceeded as e:

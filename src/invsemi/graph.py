@@ -22,21 +22,17 @@ results come out sorted.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bulk import (adjacency_packed, decode, elements_matrix,
-                    gather_packed, monoid_decoder, orbit_forest,
-                    pack_bool_rows, row_element)
+from ._bulk import (adjacency_packed, elements_matrix, gather_packed,
+                    orbit_forest, pack_bool_rows, row_element)
 from .commute import commutes_naive
 from .construct import count_elements
-from .pinj import PInj, element_from_id, element_id, format_element
+from .pinj import PInj, element_id, format_element
 
 __all__ = [
     "INFINITY",
@@ -56,8 +52,6 @@ __all__ = [
     "maximum_cliques",
     "export_dot",
     "export_edge_csv",
-    "save_packed",
-    "load_packed",
 ]
 
 INFINITY = math.inf
@@ -68,10 +62,6 @@ VERTEX_CAP = 50_000
 
 # Greedy seeds of the clique search: one per class, highest degree first.
 _GREEDY_STARTS = 48
-
-_FORMAT_MAGIC = b"ICGR"
-_FORMAT_VERSION = 2
-_FORMAT_HEAD = "<BHQHH"  # version, n, vertex count, center count, label length
 
 
 class BudgetExceeded(RuntimeError):
@@ -663,7 +653,7 @@ def maximum_cliques(g: CommutingGraph, budget_seconds=None,
     return found
 
 
-# -- export and binary cache ----------------------------------------------------
+# -- export ---------------------------------------------------------------------
 
 
 def _edge_ids(g: CommutingGraph):
@@ -689,66 +679,3 @@ def export_edge_csv(g: CommutingGraph, path) -> None:
     so the line count equals the edge count."""
     with open(path, "w") as fh:
         fh.writelines(f"{u},{v}\n" for u, v in _edge_ids(g))
-
-
-def save_packed(g: CommutingGraph, path) -> None:
-    """Binary cache: magic, version byte, n (2B LE), vertex count (8B LE),
-    center count (2B LE), label length (2B LE), center IDs (8B LE each),
-    label (utf-8), vertex IDs (8B LE each), packed adjacency rows (64-bit
-    padded, row-major, little-endian words), then the sha256 digest of
-    everything before it.  A .sha256 sidecar repeats the digest so the
-    bytes can also be audited externally.
-    """
-    label = g.label.encode("utf-8")
-    payload = bytearray(_FORMAT_MAGIC)
-    payload += struct.pack(_FORMAT_HEAD, _FORMAT_VERSION, g.n, g.num_vertices,
-                           len(g.center_ids), len(label))
-    payload += np.array(g.center_ids, dtype="<u8").tobytes() + label
-    payload += g.ids.astype("<u8").tobytes()
-    payload += g.packed.astype("<u8").tobytes()
-    digest = hashlib.sha256(payload).digest()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(digest)
-    with open(f"{path}.sha256", "w") as fh:
-        fh.write(f"{digest.hex()}  {os.path.basename(str(path))}\n")
-
-
-def load_packed(path) -> CommutingGraph:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _FORMAT_MAGIC:
-        raise ValueError("not a packed commuting-graph file")
-    if len(blob) < 32 + 19:
-        raise ValueError(f"truncated packed graph file {path}")
-    if blob[4] != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {blob[4]}")
-    payload, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise ValueError(f"checksum mismatch for {path}")
-    side = f"{path}.sha256"
-    if os.path.exists(side):
-        with open(side) as fh:
-            recorded = fh.read().split()[0]
-        if digest.hex() != recorded:
-            raise ValueError(f"sidecar checksum mismatch for {path}")
-    _, n, nverts, ncenter, nlabel = struct.unpack_from(_FORMAT_HEAD, blob, 4)
-    center_ids = np.frombuffer(payload, "<u8", count=ncenter, offset=19)
-    off = 19 + 8 * ncenter
-    label = payload[off:off + nlabel].decode("utf-8")
-    off += nlabel
-    ids = np.frombuffer(payload, dtype="<u8", count=nverts, offset=off)
-    off += nverts * 8
-    words = (nverts + 63) // 64
-    expect = off + nverts * words * 8
-    if len(payload) != expect:
-        raise ValueError(f"truncated packed graph file {path}")
-    packed = np.frombuffer(payload, dtype="<u8", count=nverts * words,
-                           offset=off).reshape(nverts, words)
-    packed = packed.astype(np.uint64)
-    # Still unsigned here, the top ID bounds them all; element_from_id
-    # rejects it if too big.
-    element_from_id(n, int(ids.max()) if nverts else 0)
-    imgs = decode(n, monoid_decoder(n), ids.astype(np.int64))
-    return CommutingGraph(n, ids, imgs, packed, orbit_forest(imgs)[:3],
-                          center_ids, label)

@@ -528,10 +528,11 @@ def verify_distance5(n: int, pair=None) -> Distance5Report:
         raise ValueError("the two witnesses must be distinct cycles")
     if alpha.n != n or beta.n != n:
         raise ValueError("witness pair does not live on n points")
+    cycles = classify(alpha).is_n_cycle and classify(beta).is_n_cycle
+    if not cycles:
+        raise ValueError("both witnesses must be full cycles")
     zero = PInj.zero(n)
-    checks = [("both witnesses are full cycles",
-               classify(alpha).is_n_cycle and classify(beta).is_n_cycle,
-               f"n={n}")]
+    checks = [("both witnesses are full cycles", cycles, f"n={n}")]
 
     for name, g in (("first", alpha), ("second", beta)):
         cz = set(iter_permutation_centralizer(g))

@@ -187,14 +187,13 @@ def test_guard_exit_codes(capsys):
     assert code == 2
     assert "error:" in err
     # options a subcommand never reads are argparse errors, not ignored
-    unread = {"elem": ("--ideal", "--budget-seconds", "--cache-dir",
-                       "--force"),
-              "centralizer": ("--ideal", "--budget-seconds", "--cache-dir"),
-              "extremal": ("--ideal", "--cache-dir"),
-              "witness": ("--budget-seconds", "--cache-dir"),
-              "verify": ("--ideal",),
-              "search-open": ("--ideal", "--budget-seconds", "--cache-dir",
-                              "--force")}
+    unread = {"elem": ("--ideal", "--budget-seconds", "--force"),
+              "centralizer": ("--ideal", "--budget-seconds"),
+              "extremal": ("--ideal",),
+              "witness": ("--budget-seconds",),
+              "graph": ("--cache-dir", "--save"),
+              "verify": ("--ideal", "--cache-dir"),
+              "search-open": ("--ideal", "--budget-seconds", "--force")}
     rest = {"elem": ["(1 2)"], "centralizer": ["(1 2)"],
             "witness": ["--pair", "extremal"], "verify": ["lambda"]}
     for command, options in unread.items():
@@ -373,18 +372,15 @@ def test_centralizer_general_element(capsys):
 
 
 def test_graph_summary_and_exports(capsys, tmp_path):
-    save = tmp_path / "g3.bin"
     dot = tmp_path / "g3.dot"
     code, out, _ = run_main(capsys, ["graph", "--n", "3", "--diameter",
-                                     "--clique", "--json",
-                                     "--save", str(save), "--dot", str(dot)])
+                                     "--clique", "--json", "--dot", str(dot)])
     assert code == 0
     d = json.loads(out)
     assert (d["vertices"], d["edges"]) == (32, 73)
     assert d["diameter"] == "infinity" and d["components"] > 1
     assert d["clique_number"] == 6
-    assert save.exists() and dot.exists()
-    assert gm.load_packed(save).num_vertices == 32
+    assert dot.exists()
 
 
 def test_graph_clique_is_the_least_maximum_clique(capsys):
@@ -467,45 +463,7 @@ def test_ideal_graph_equals_induced_subgraph():
         cli.CliContext().graph(7, 3)
 
 
-def test_graph_cache_round_trip(capsys, tmp_path):
-    argv = ["graph", "--n", "4", "--json", "--cache-dir", str(tmp_path)]
-    code, out1, _ = run_main(capsys, argv)
-    assert code == 0
-    cached = tmp_path / "icgr-full-n4.bin"
-    assert cached.exists()
-    code, out2, _ = run_main(capsys, argv)
-    assert code == 0
-    assert json.loads(out1) == json.loads(out2)
-
-
-def test_graph_truncated_cache_is_usage_error(capsys, tmp_path):
-    (tmp_path / "icgr-full-n4.bin").write_bytes(b"ICGR")
-    code, _, err = run_main(capsys, ["graph", "--n", "4", "--diameter",
-                                     "--cache-dir", str(tmp_path)])
-    assert code == 2
-    assert "error:" in err and "truncated" in err
-
-
-def test_graph_corrupt_cache_names_file_and_force(capsys, tmp_path):
-    argv = ["graph", "--n", "4", "--json", "--cache-dir", str(tmp_path)]
-    code, want, _ = run_main(capsys, argv)
-    assert code == 0
-    cached = tmp_path / "icgr-full-n4.bin"
-    blob = bytearray(cached.read_bytes())
-    blob[len(blob) // 2] ^= 0x01
-    cached.write_bytes(bytes(blob))
-    code, _, err = run_main(capsys, argv)
-    assert code == 2
-    assert "error:" in err and "checksum" in err
-    assert str(cached) in err and "--force" in err
-    code, out, _ = run_main(capsys, argv + ["--force"])
-    assert code == 0 and json.loads(out) == json.loads(want)
-    code, out, _ = run_main(capsys, argv)
-    assert code == 0 and json.loads(out) == json.loads(want)
-
-
-@pytest.mark.parametrize("option", ["--dot", "--csv", "--save",
-                                    "--cache-dir"])
+@pytest.mark.parametrize("option", ["--dot", "--csv"])
 def test_graph_file_error_is_usage_error(capsys, tmp_path, option):
     # a path under a regular file can be neither written nor created
     blocker = tmp_path / "file"

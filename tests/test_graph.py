@@ -679,18 +679,15 @@ def test_one_orbit_pass_per_graph(monkeypatch):
     assert calls == [2886]
 
 
-def test_loaded_and_induced_graphs_keep_the_build_classes(ideal_graphs,
-                                                          tmp_path):
+def test_induced_graphs_keep_the_build_classes(ideal_graphs):
     # the rank <= 3 ideal of I(6) without zero is a union of classes of
     # the full graph
     fresh = gm.build_graph(6, max_rank=3, center="ideal")
-    path = tmp_path / "ideal.bin"
-    gm.save_packed(fresh, path)
     assert len(fresh.reps) == 17
-    for h in (ideal_graphs(6, 3), gm.load_packed(path)):
-        assert h.ids.tolist() == fresh.ids.tolist()
-        assert h.reps.tolist() == fresh.reps.tolist()
-        assert h.inverse.tolist() == fresh.inverse.tolist()
+    h = ideal_graphs(6, 3)
+    assert h.ids.tolist() == fresh.ids.tolist()
+    assert h.reps.tolist() == fresh.reps.tolist()
+    assert h.inverse.tolist() == fresh.inverse.tolist()
 
 
 def test_diameter_path_attains_value(full_graphs):
@@ -1047,53 +1044,7 @@ def test_budget_message_reports_progress():
             f" {found} cliques of size {size} found so far")
 
 
-# -- persistence and exports -------------------------------------------------------
-
-
-def test_save_load_round_trip(full_graphs, tmp_path):
-    g = full_graphs(4)
-    path = tmp_path / "g4.bin"
-    gm.save_packed(g, path)
-    h = gm.load_packed(path)
-    assert (h.packed == g.packed).all() and (h.ids == g.ids).all()
-    assert h.imgs.dtype == g.imgs.dtype and (h.imgs == g.imgs).all()
-    assert h.label == g.label and h.center_ids == g.center_ids
-    assert h.n == g.n
-    assert gm.diameter(h).value == 4
-
-
-def test_load_detects_corruption(full_graphs, tmp_path):
-    g = full_graphs(3)
-    path = tmp_path / "g3.bin"
-    gm.save_packed(g, path)
-    blob = bytearray(path.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(bytes(blob))
-    with pytest.raises(ValueError):
-        gm.load_packed(bad)
-    cut = tmp_path / "cut.bin"
-    cut.write_bytes(path.read_bytes()[: len(blob) // 2])
-    with pytest.raises(ValueError):
-        gm.load_packed(cut)
-    junk = tmp_path / "junk.bin"
-    junk.write_bytes(b"NOPE" + bytes(60))
-    with pytest.raises(ValueError):
-        gm.load_packed(junk)
-    magic_only = tmp_path / "magic.bin"
-    magic_only.write_bytes(b"ICGR")
-    with pytest.raises(ValueError):
-        gm.load_packed(magic_only)
-    # Checksummed files whose top vertex ID is past the end of I(3); -1 is
-    # stored as 2**64 - 1, which must not wrap round to a valid index.
-    for top in (monoid_order(3), -1):
-        ids = g.ids.copy()
-        ids[-1] = top
-        far = tmp_path / "far.bin"
-        gm.save_packed(gm.CommutingGraph(3, ids, g.imgs, g.packed,
-                                           (g.reps, g.inverse, g.maps)), far)
-        with pytest.raises(ValueError, match="out of range"):
-            gm.load_packed(far)
+# -- exports -----------------------------------------------------------------------
 
 
 def test_exports(full_graphs, tmp_path):

@@ -400,13 +400,25 @@ def test_dolzan_distance_check_counts_streamed_rows(monkeypatch):
         assert not ok and rows < order
 
 
-def test_verify_distance5_rejections():
+def test_verify_distance5_rejections(monkeypatch):
+    # every rejection comes before any centralizer is streamed; a
+    # permutation that is not a full cycle has a large one (all of I(9)
+    # for the identity)
+    def no_stream(*args):
+        raise AssertionError("streamed a centralizer")
+
+    monkeypatch.setattr(wit, "iter_permutation_centralizer", no_stream)
+    monkeypatch.setattr(wit, "iter_permutation_centralizer_chunks", no_stream)
     alpha, beta = wit.prime_power_pair(3, 2)
     with pytest.raises(ValueError):
         wit.verify_distance5(9, pair=(alpha, alpha))
     small = PInj.cycle(8, range(8)), PInj.cycle(8, (0, 2, 4, 6, 1, 3, 5, 7))
     with pytest.raises(ValueError):
         wit.verify_distance5(9, pair=small)
+    for other in (PInj.cycle(9, range(8)), PInj.identity(9)):
+        for pair in ((other, beta), (alpha, other)):
+            with pytest.raises(ValueError, match="full cycles"):
+                wit.verify_distance5(9, pair=pair)
     for n in (8, 15, 3, 12):
         with pytest.raises(ValueError):
             wit.verify_distance5(n)
